@@ -22,12 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import curvature, forms, metricgeom
+from . import __version__, curvature, forms, metricgeom
 from .chart import OMEGA, ResolvedPoint, omega_r, rho, rho_alpha
 from .errors import ConfigError, NonPositiveData
 from .profile import ProfileParams, cubic_residual, eval_profile
-
-VERSION = "0.1.0"
 
 EXPERIMENTS = ("estimates", "diam-scaling", "gh-converge", "ricci-audit", "profile-table")
 
@@ -40,7 +38,6 @@ DEFAULT_TOLERANCES = {
     "trace_bound_hat": 4.0 + 1e-9,
     "norm_identity_rel": 1e-8,
     "diam_exponent_dev": 1e-2,
-    "area_linearity_rel": 1e-8,
     "radial_closed_form_abs": 1e-8,
     "radial_uniform_slack": 1e-6,
     "gh_monotone_slack": 0.10,
@@ -424,7 +421,7 @@ def run(config: ExperimentConfig) -> int:
         "config": _config_dict(config),
         "rows": rows,
         "asserts": asserts,
-        "version": VERSION,
+        "version": __version__,
     }
     try:
         if config.format == "json":

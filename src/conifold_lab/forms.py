@@ -245,18 +245,15 @@ def vector_norm_sq(kind: FormKind, v: str, p: ResolvedPoint) -> float:
 def compare_forms(a: HermitianForm, b: HermitianForm) -> tuple[float, float]:
     """Extreme generalized eigenvalues (lmin, lmax) with lmin*B <= A <= lmax*B.
 
-    Uses a Cholesky whitening of B; B must be positive definite with smallest
-    eigenvalue above 1e-13.
+    One generalized Hermitian eigensolve of A v = lambda B v; B must be
+    positive definite with smallest eigenvalue above 1e-13.
     """
     if (a.base.z, a.base.xi1, a.base.xi2) != (b.base.z, b.base.xi1, b.base.xi2):
         raise BaseMismatch("forms evaluated at different base points")
     evb = np.linalg.eigvalsh(b.m)
     if evb[0] <= _MIN_REF_EIGENVALUE:
         raise NotPositiveDefinite(f"reference form eigenvalue {evb[0]} too small")
-    chol = np.linalg.cholesky(b.m)
-    inv_l = scipy.linalg.solve_triangular(chol, np.eye(3, dtype=complex), lower=True)
-    white = inv_l @ a.m @ inv_l.conjugate().T
-    ev = np.linalg.eigvalsh(white)
+    ev = scipy.linalg.eigh(a.m, b.m, eigvals_only=True)
     return float(ev[0]), float(ev[-1])
 
 
@@ -264,13 +261,3 @@ def rotate_fibre(p: ResolvedPoint, unitary: np.ndarray) -> ResolvedPoint:
     """Apply a U(2) rotation to the fibre coordinates (trivialization change)."""
     xi = unitary @ np.array([p.xi1, p.xi2])
     return ResolvedPoint(z=p.z, xi1=complex(xi[0]), xi2=complex(xi[1]))
-
-
-def log_det(kind: FormKind, p: ResolvedPoint) -> float:
-    """log det of the form's matrix via Cholesky (raises if not positive definite)."""
-    m = eval_form(kind, p).m
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
-    return float(2.0 * np.sum(np.log(np.real(np.diagonal(chol)))))

@@ -19,7 +19,6 @@ radial length integral, available as ``radial_stub``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -102,55 +101,27 @@ def radial_stub(t: float, rho_floor: float = -RHO_DEPTH) -> float:
     return radial_length_from_rho(rho_floor, t)
 
 
-#: rho at which the profile terms of the zero-section restriction are evaluated;
-#: they are < 1e-100 there, i.e. exactly the t * (base form) limit in doubles.
-_AREA_RHO_FLOOR = -300.0
-
-
 def zero_section_area(t: float) -> float:
-    """Area of the zero section under the restriction of the t-metric.
+    """Area 2*pi*t of the zero section under the restriction of the t-metric.
 
-    The restriction is t times the base Fubini-Study form (the profile terms
-    vanish on the section); the integral is done over the two base charts by
-    symmetry, so it is linear in t to quadrature accuracy.
+    The profile terms vanish on the section, so the restriction is t times
+    the base Fubini-Study form i dz ^ dzbar / (1 + |z|^2)^2, whose integral
+    over the line is 2*pi.  The test suite checks this against a quadrature
+    of the full restricted integrand, profile terms included.
     """
     if not (0.0 < t <= 1.0):
         raise ValueError("t must lie in (0, 1]")
-    prof = eval_profile(ProfileParams(t), _AREA_RHO_FLOOR)
-
-    def integrand(r: float) -> float:
-        return (t + prof.uprime + prof.usecond * r * r) / (1.0 + r * r) ** 2 * r
-
-    val, _ = scipy.integrate.quad(integrand, 0.0, 1.0, **_QUAD_OPTS)
-    return 2.0 * 4.0 * math.pi * val
+    return 2.0 * math.pi * t
 
 
-def _fs_radial_distance(c: float) -> float:
-    """Base geodesic distance between points with |<p,q>| = c (unit vectors)."""
-    if c < 1e-9:
-        val, _ = scipy.integrate.quad(lambda r: 1.0 / (1.0 + r * r), 0.0, 1.0, **_QUAD_OPTS)
-        return 2.0 * val
-    reach = math.sqrt(max(0.0, 1.0 - c * c)) / c
-    val, _ = scipy.integrate.quad(lambda r: 1.0 / (1.0 + r * r), 0.0, reach, **_QUAD_OPTS)
-    return val
+def fs_diameter() -> float:
+    """Diameter pi/2 of the base projective line under the Fubini-Study form.
 
-
-@functools.lru_cache(maxsize=1)
-def fs_diameter(n_dirs: int = 512) -> float:
-    """Diameter of the base projective line under the Fubini-Study form.
-
-    Computed once by dense geodesic sampling from a fixed base point
-    (homogeneity makes the radius equal to the diameter, and rotational
-    symmetry leaves only the polar angle): the target sweeps a uniform grid
-    in cos(theta) plus the exact antipode, and each distance is the radial
-    geodesic quadrature.
+    The metric |dz|^2 / (1 + |z|^2)^2 is the round sphere of radius 1/2, so
+    antipodal points are pi/2 apart.  The test suite checks this against a
+    dense sweep of radial geodesic quadratures from a fixed base point.
     """
-    best = _fs_radial_distance(0.0)  # the antipode
-    for k in range(n_dirs):
-        cos_theta = 1.0 - 2.0 * (k + 0.5) / n_dirs
-        c = math.sqrt(0.5 * (1.0 + cos_theta))  # |<p0, q>| = cos(theta / 2)
-        best = max(best, _fs_radial_distance(c))
-    return best
+    return math.pi / 2
 
 
 def zero_section_diameter(t: float) -> float:

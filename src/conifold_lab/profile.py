@@ -13,12 +13,15 @@ never integrated.
 
 Numerics: the root is found on the rescaled variable q = e^{-rho} u', which
 satisfies 2 e^{rho} q^3 + 3 t q^2 - 3 = 0.  This keeps every intermediate
-quantity O(1) even when e^{2 rho} spans hundreds of orders of magnitude; the
-solver is a bracketed Newton iteration with bisection fallback on the
-monotone rescaled cubic, started from the upper end of a bracket derived
-from the two asymptotic regimes (u' ~ t^{-1/2} e^rho deep in the fibre,
-u' ~ (3/2)^{1/3} e^{2 rho/3} near the cone).  The closed-form cubic formula
-is deliberately not used: it cancels catastrophically for small e^{2 rho}.
+quantity O(1) even when e^{2 rho} spans hundreds of orders of magnitude.  The
+rescaled cubic is increasing and convex on q > 0, so Newton started above
+the root decreases monotonically onto it and needs no bracket or fallback.
+The start is the smaller of the two single-regime roots (u' ~ t^{-1/2} e^rho
+deep in the fibre, u' ~ (3/2)^{1/3} e^{2 rho/3} near the cone), which bounds
+the root from above; the iteration stops at the first step that does not
+decrease q, which must happen since q runs down a finite set of doubles.
+The closed-form cubic formula is deliberately not used: it cancels
+catastrophically for small e^{2 rho}.
 
 The t = 0 member has the closed-form solution
 
@@ -75,42 +78,25 @@ def _clamp_rho(rho: float) -> float:
 
 
 def _solve_q(t: float, erho: float) -> float:
-    """Positive root of f(q) = 2*erho*q^3 + 3*t*q^2 - 3 (monotone on q > 0).
+    """Positive root of f(q) = 2*erho*q^3 + 3*t*q^2 - 3 by monotone Newton.
 
-    Both cubic terms are positive, so the root is bounded above by the
-    smaller of the two single-regime roots m = min((3/(2 e^rho))^{1/3},
-    t^{-1/2}), and f(0.45 m) < 0 always; Newton started at m stays inside
-    this bracket and converges in a handful of steps at any rho.
+    Both cubic terms are positive, so the root lies below the smaller of the
+    two single-regime roots m = min((3/(2 e^rho))^{1/3}, t^{-1/2}), where
+    f > 0.  f is increasing and convex on q > 0, so Newton started at m
+    decreases monotonically onto the root; the first step that fails to
+    decrease q marks convergence to rounding.  q strictly decreases through
+    a finite set of doubles, so the loop terminates.
     """
-    hi = (1.5 / erho) ** (1.0 / 3.0)
+    q = (1.5 / erho) ** (1.0 / 3.0)
     if t > 0.0:
-        hi = min(hi, 1.0 / math.sqrt(t))
-    hi *= 1.0 + 1e-12
-    lo = 0.45 * hi
-
-    def f(q):
-        return (2.0 * erho * q + 3.0 * t) * q * q - 3.0
-
-    q = hi
-    fq = f(q)
-    for _ in range(200):
-        df = q * (6.0 * erho * q + 6.0 * t)
-        if df > 0.0:
-            step = fq / df
-            q_new = q - step
-        else:
-            q_new = 0.5 * (lo + hi)
-        if not (lo < q_new < hi):
-            q_new = 0.5 * (lo + hi)
-        f_new = f(q_new)
-        if f_new > 0.0:
-            hi = q_new
-        else:
-            lo = q_new
-        if f_new == 0.0 or abs(q_new - q) <= 4.0 * math.ulp(q_new):
-            return q_new
-        q, fq = q_new, f_new
-    return q
+        q = min(q, 1.0 / math.sqrt(t))
+    q *= 1.0 + 1e-12
+    while True:
+        f = (2.0 * erho * q + 3.0 * t) * q * q - 3.0
+        q_new = q - f / (q * (6.0 * erho * q + 6.0 * t))
+        if not q_new < q:
+            return q
+        q = q_new
 
 
 def solve_uprime(params: ProfileParams, rho: float) -> float:

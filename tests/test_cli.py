@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conifold_lab import __version__
 from conifold_lab.cli import ExperimentConfig, fit_power_law, main, run
 from conifold_lab.errors import ConfigError, NonPositiveData
 
@@ -94,7 +95,7 @@ class TestDiamScaling:
         assert run(cfg) == 0
         report = json.loads(out.read_text())
         assert report["experiment"] == "diam-scaling"
-        assert report["version"]
+        assert report["version"] == __version__
         byname = {a["name"]: a for a in report["asserts"]}
         assert abs(byname["diam_exponent"]["observed"] - 0.5) <= 0.01
         assert "diam_t13_constant" in byname
@@ -116,6 +117,8 @@ class TestExitCodes:
     def test_config_error_is_2(self, capsys):
         assert main(["estimates", "--t-grid", "0.1,1.0"]) == 2
         assert main(["profile-table", "--format", "json", "--tol", "bogus"]) == 2
+        # no experiment ever read this tolerance, so it is not a name
+        assert main(["profile-table", "--tol", "area_linearity_rel=1e-8"]) == 2
 
     def test_unwritable_output_is_2(self, tmp_path):
         cfg = ExperimentConfig(

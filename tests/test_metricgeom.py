@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from conifold_lab.chart import OMEGA, ResolvedPoint, contract, omega_r, rho
 from conifold_lab.errors import DegenerateMetric, OnZeroSection
@@ -22,6 +23,7 @@ from conifold_lab.metricgeom import (
     zero_section_area,
     zero_section_diameter,
 )
+from conifold_lab.profile import ProfileParams, eval_profile
 
 RNG = np.random.default_rng(7)
 
@@ -29,6 +31,48 @@ RNG = np.random.default_rng(7)
 def cone_radial_closed_form(rho_top):
     # (1/2) * integral of sqrt((2/3)^{2/3}) e^{rho/3} d rho = (3/2)^{2/3} e^{rho/3}
     return 1.5 ** (2 / 3) * math.exp(rho_top / 3.0)
+
+
+_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
+
+
+def fs_radial_distance(c):
+    """Fubini-Study geodesic distance between unit vectors with |<p,q>| = c, by quadrature."""
+    if c < 1e-9:
+        val, _ = scipy.integrate.quad(lambda r: 1.0 / (1.0 + r * r), 0.0, 1.0, **_QUAD_OPTS)
+        return 2.0 * val
+    reach = math.sqrt(max(0.0, 1.0 - c * c)) / c
+    val, _ = scipy.integrate.quad(lambda r: 1.0 / (1.0 + r * r), 0.0, reach, **_QUAD_OPTS)
+    return val
+
+
+def fs_diameter_sweep(n_dirs=512):
+    """Quadrature oracle for the base diameter: distances from a fixed point.
+
+    Homogeneity makes the radius equal to the diameter and rotational
+    symmetry leaves only the polar angle, so the target sweeps a uniform
+    grid in cos(theta) plus the exact antipode.
+    """
+    best = fs_radial_distance(0.0)
+    for k in range(n_dirs):
+        cos_theta = 1.0 - 2.0 * (k + 0.5) / n_dirs
+        best = max(best, fs_radial_distance(math.sqrt(0.5 * (1.0 + cos_theta))))
+    return best
+
+
+def zero_section_area_quadrature(t, rho_floor=-300.0):
+    """Quadrature oracle for the area: the full restricted family integrand.
+
+    The profile terms are evaluated at rho_floor, where they are below
+    1e-100, and the integral runs over the two base charts by symmetry.
+    """
+    prof = eval_profile(ProfileParams(t), rho_floor)
+
+    def integrand(r):
+        return (t + prof.uprime + prof.usecond * r * r) / (1.0 + r * r) ** 2 * r
+
+    val, _ = scipy.integrate.quad(integrand, 0.0, 1.0, **_QUAD_OPTS)
+    return 2.0 * 4.0 * math.pi * val
 
 
 class TestRadialLength:
@@ -66,11 +110,13 @@ class TestZeroSectionArea:
         base = ratios[0]
         for r in ratios[1:]:
             assert abs(r - base) <= 1e-8 * base
+        for t in (1.0, 0.1, 0.01, 1e-4):
+            assert zero_section_area(t) == pytest.approx(
+                zero_section_area_quadrature(t), rel=1e-12
+            )
 
     def test_matches_base_area_at_unit_class(self):
         # same quadrature applied to the bare base form
-        import scipy.integrate
-
         val, _ = scipy.integrate.quad(lambda r: r / (1 + r * r) ** 2, 0.0, 1.0)
         base_area = 8.0 * math.pi * val
         assert zero_section_area(1.0) == pytest.approx(base_area, rel=1e-10)
@@ -90,6 +136,7 @@ class TestZeroSectionDiameter:
     def test_fs_diameter_value(self):
         # the round Fubini-Study line has diameter pi/2 in this convention
         assert fs_diameter() == pytest.approx(math.pi / 2, rel=1e-6)
+        assert fs_diameter() == pytest.approx(fs_diameter_sweep(), rel=1e-12)
 
     def test_t13_bound_attained_at_one(self):
         d1 = zero_section_diameter(1.0)

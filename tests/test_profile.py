@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conifold_lab.errors import EmptySamples, NonFinite, RangeClampedWarning
 from conifold_lab.profile import (
     ProfileParams,
+    _solve_q,
     cone_profile,
     cubic_residual,
     eval_profile,
@@ -33,6 +35,35 @@ def bisect_root(t, rho, lo=0.0, hi=None, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def root_offset_ulps(t, erho, q):
+    """Signed distance of the double q from the exact root of the rescaled cubic, in ulps.
+
+    The cubic 2*erho*q^3 + 3*t*q^2 - 3 is evaluated exactly in rationals on
+    the float coefficients.  Walking one double at a time from q towards the
+    root finds the two doubles that bracket it; the position inside that last
+    gap is interpolated linearly (the cubic is linear to far below an ulp).
+    """
+    e, tt = Fraction(erho), Fraction(t)
+
+    def f(x):
+        x = Fraction(x)
+        return (2 * e * x + 3 * tt) * x * x - 3
+
+    fq = f(q)
+    if fq == 0:
+        return 0.0
+    above = fq > 0
+    steps, prev, f_prev = 0, q, fq
+    while True:
+        cur = math.nextafter(prev, -math.inf if above else math.inf)
+        f_cur = f(cur)
+        steps += 1
+        if (f_cur <= 0) if above else (f_cur >= 0):
+            off = steps - 1 + float(f_prev / (f_prev - f_cur))
+            return off if above else -off
+        prev, f_prev = cur, f_cur
 
 
 class TestSolveUprime:
@@ -78,6 +109,16 @@ class TestSolveUprime:
                 q = up * math.exp(-rho)
                 res = abs((2.0 * math.exp(rho) * q + 3 * t) * q * q - 3.0)
                 assert res < 1e-12
+
+    def test_exact_root_within_two_ulps(self):
+        rng = np.random.default_rng(2024)
+        pairs = [(t, r) for t in (1e-6, 1e-3, 1.0) for r in (-700.0, -40.0, 0.0, 300.0)]
+        for _ in range(4000):
+            pairs.append((float(10.0 ** rng.uniform(-6.0, 0.0)), float(rng.uniform(-700.0, 300.0))))
+        for t, r in pairs:
+            erho = math.exp(r)
+            off = root_offset_ulps(t, erho, _solve_q(t, erho))
+            assert abs(off) <= 2.0, (t, r, off)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFinite):

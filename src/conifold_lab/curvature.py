@@ -18,7 +18,7 @@ Ricci-flatness statement: the two agreeing is the point of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,8 +27,6 @@ from .chart import ResolvedPoint
 from .errors import NonFinite, OnZeroSection, SingularMetric, StencilOutOfDomain
 from .forms import FormKind, HermitianForm, eval_form
 from .profile import ProfileParams, eval_profile
-
-_FALLBACK_H = 1e-2
 
 
 @dataclass(frozen=True)
@@ -128,15 +126,9 @@ def _log_det_field(kind: FormKind) -> Callable[[ResolvedPoint], float]:
 def ricci_form(kind: FormKind, p: ResolvedPoint, s: StencilSpec) -> HermitianForm:
     """Ricci form -hessian(log det M) of the kind's metric at p.
 
-    If the requested stencil leaves the metric's domain the evaluation is
-    retried once with the coarse fallback step before giving up.
+    Raises ``StencilOutOfDomain`` if a stencil point leaves the metric's domain.
     """
-    field = _log_det_field(kind)
-    try:
-        hess = complex_hessian(field, p, s)
-    except StencilOutOfDomain:
-        hess = complex_hessian(field, p, replace(s, h=_FALLBACK_H))
-    return HermitianForm(base=p, m=-hess.m)
+    return HermitianForm(base=p, m=-complex_hessian(_log_det_field(kind), p, s).m)
 
 
 def ricci_potential_residual(t: float, rho_samples: list[float]) -> float:

@@ -108,82 +108,95 @@ V1 = "V1"
 W = "W"
 
 
-def _hessian_exp_rho(p: ResolvedPoint) -> np.ndarray:
+def _hessian_exp_rho(m: np.ndarray, z, xi1, xi2) -> None:
     """Hessian of e^rho = (1+|z|^2)(|xi1|^2+|xi2|^2); exact polynomial entries."""
-    h = 1.0 + abs(p.z) ** 2
-    s = abs(p.xi1) ** 2 + abs(p.xi2) ** 2
-    zb = complex(p.z).conjugate()
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = s
-    m[0, 1] = zb * p.xi1
-    m[0, 2] = zb * p.xi2
-    m[1, 0] = m[0, 1].conjugate()
-    m[2, 0] = m[0, 2].conjugate()
-    m[1, 1] = h
-    m[2, 2] = h
+    h = 1.0 + abs(z) ** 2
+    s = abs(xi1) ** 2 + abs(xi2) ** 2
+    zb = z.conjugate()
+    m[..., 0, 0] = s
+    m[..., 0, 1] = zb * xi1
+    m[..., 0, 2] = zb * xi2
+    m[..., 1, 0] = m[..., 0, 1].conjugate()
+    m[..., 2, 0] = m[..., 0, 2].conjugate()
+    m[..., 1, 1] = h
+    m[..., 2, 2] = h
+
+
+def _add_fubini_study(m: np.ndarray, z) -> None:
+    h = 1.0 + abs(z) ** 2
+    m[..., 0, 0] += 1.0 / h**2
+
+
+def _tau(m: np.ndarray, z, xi1) -> None:
+    h = 1.0 + abs(z) ** 2
+    m[..., 0, 0] = abs(xi1) ** 2
+    m[..., 0, 1] = z.conjugate() * xi1
+    m[..., 1, 0] = m[..., 0, 1].conjugate()
+    m[..., 1, 1] = h
+
+
+def _family_matrix(m: np.ndarray, z, xi1, xi2, t: float, uprime, usecond) -> None:
+    h = 1.0 + abs(z) ** 2
+    s = abs(xi1) ** 2 + abs(xi2) ** 2
+    zb = z.conjugate()
+    m[..., 0, 0] = (t + uprime + usecond * abs(z) ** 2) / h**2
+    m[..., 0, 1] = usecond * zb * xi1 / (h * s)
+    m[..., 0, 2] = usecond * zb * xi2 / (h * s)
+    m[..., 1, 0] = m[..., 0, 1].conjugate()
+    m[..., 2, 0] = m[..., 0, 2].conjugate()
+    m[..., 1, 1] = (usecond - uprime) * xi1.conjugate() * xi1 / s**2 + uprime / s
+    m[..., 1, 2] = (usecond - uprime) * xi1.conjugate() * xi2 / s**2
+    m[..., 2, 1] = (usecond - uprime) * xi2.conjugate() * xi1 / s**2
+    m[..., 2, 2] = (usecond - uprime) * xi2.conjugate() * xi2 / s**2 + uprime / s
+
+
+def _matrix(kind: FormKind, z, xi1, xi2, profile) -> np.ndarray:
+    """The kind's matrix at scalar or equal-shape array coordinates, shape (..., 3, 3).
+
+    Each builder writes one matrix per lane into m; ``profile()`` gives
+    (u', u'') on the lanes and is called for the family kinds only.
+    """
+    # getattr rather than np.shape, which costs microseconds on a Python scalar
+    m = np.zeros(getattr(z, "shape", ()) + (3, 3), dtype=complex)
+    if kind.tag in ("OmegaHat", "ConifoldFlat"):
+        _hessian_exp_rho(m, z, xi1, xi2)
+    if kind.tag in ("OmegaHat", "FubiniStudy"):
+        _add_fubini_study(m, z)
+    if kind.tag == "Tau":
+        _tau(m, z, xi1)
+    if kind.tag in _PROFILE_KINDS:
+        _family_matrix(m, z, xi1, xi2, kind.t or 0.0, *profile())
     return m
 
 
-def _fubini_study(p: ResolvedPoint) -> np.ndarray:
-    h = 1.0 + abs(p.z) ** 2
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = 1.0 / h**2
-    return m
-
-
-def _tau(p: ResolvedPoint) -> np.ndarray:
-    h = 1.0 + abs(p.z) ** 2
-    zb = complex(p.z).conjugate()
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = abs(p.xi1) ** 2
-    m[0, 1] = zb * p.xi1
-    m[1, 0] = m[0, 1].conjugate()
-    m[1, 1] = h
-    return m
-
-
-def _family_matrix(p: ResolvedPoint, t: float, uprime: float, usecond: float) -> np.ndarray:
-    h = 1.0 + abs(p.z) ** 2
-    s = abs(p.xi1) ** 2 + abs(p.xi2) ** 2
-    zb = complex(p.z).conjugate()
-    xi = (p.xi1, p.xi2)
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = (t + uprime + usecond * abs(p.z) ** 2) / h**2
-    for a in range(2):
-        m[0, a + 1] = usecond * zb * xi[a] / (h * s)
-        m[a + 1, 0] = m[0, a + 1].conjugate()
-    for a in range(2):
-        for b in range(2):
-            val = (usecond - uprime) * xi[a].conjugate() * xi[b] / s**2
-            if a == b:
-                val += uprime / s
-            m[a + 1, b + 1] = val
-    return m
-
-
-def _profile_at(kind: FormKind, p: ResolvedPoint):
-    r = rho(p)
+def _profile_at(kind: FormKind, r: float) -> tuple[float, float]:
     if not math.isfinite(r) or r < RHO_DEEP_LIMIT:
         raise OnZeroSection(f"{kind.tag} degenerates at rho = {r}")
-    if kind.tag == "ConeMetric":
-        return 0.0, cone_profile(r)
-    return kind.t, eval_profile(ProfileParams(kind.t), r)
+    prof = cone_profile(r) if kind.t is None else eval_profile(ProfileParams(kind.t), r)
+    return prof.uprime, prof.usecond
 
 
 def eval_form(kind: FormKind, p: ResolvedPoint) -> HermitianForm:
     """Matrix of the form at p in the coordinate frame (z, xi1, xi2)."""
-    if kind.tag == "FubiniStudy":
-        m = _fubini_study(p)
-    elif kind.tag == "OmegaHat":
-        m = _fubini_study(p) + _hessian_exp_rho(p)
-    elif kind.tag == "Tau":
-        m = _tau(p)
-    elif kind.tag == "ConifoldFlat":
-        m = _hessian_exp_rho(p)
-    else:
-        t, prof = _profile_at(kind, p)
-        m = _family_matrix(p, t, prof.uprime, prof.usecond)
+    m = _matrix(kind, p.z, p.xi1, p.xi2, lambda: _profile_at(kind, rho(p)))
     return HermitianForm(base=p, m=m)
+
+
+def eval_forms(kind: FormKind, z, xi1, xi2) -> np.ndarray:
+    """Lane for lane what ``eval_form`` gives, for coordinate arrays; shape (..., 3, 3).
+
+    rho is computed on the arrays and the profile solved lane by lane, so
+    the first lane on the zero section raises ``OnZeroSection``.
+    """
+    z, xi1, xi2 = np.broadcast_arrays(*(np.asarray(c, dtype=complex) for c in (z, xi1, xi2)))
+
+    def profile():
+        with np.errstate(divide="ignore"):
+            r = np.log1p(abs(z) ** 2) + 2.0 * np.log(np.hypot(abs(xi1), abs(xi2)))
+        lanes = np.reshape([_profile_at(kind, x) for x in r.ravel().tolist()], r.shape + (2,))
+        return lanes[..., 0], lanes[..., 1]
+
+    return _matrix(kind, z, xi1, xi2, profile)
 
 
 def _fibre_jacobian(p: ResolvedPoint) -> tuple[complex, np.ndarray]:

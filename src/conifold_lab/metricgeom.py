@@ -3,12 +3,15 @@
 Distances on sampled domains are approximated by shortest paths in a
 k-nearest-neighbour graph whose edge weights are Riemannian lengths of
 straight coordinate segments under the midpoint metric (one-sided: graph
-distances overestimate and tighten as n and k grow).  Neighbour proximity
-is measured in the contraction embedding into C^4, which adapts the graph
-to the collapsing geometry near the zero section.  A Euclidean minimum
-spanning tree over the same embedding is always added to the edge set: it
-guarantees a connected graph and, being independent of k, preserves the
-monotonicity of distances under increasing k.
+distances overestimate and tighten as n and k grow).  A graph's edges are
+weighted by one batched ``eval_forms`` call per metric kind; an edge whose
+midpoint lies on the zero section, where the family metrics degenerate,
+raises ``DegenerateMetric``.  Neighbour proximity is measured in the
+contraction embedding into C^4, which adapts the graph to the collapsing
+geometry near the zero section.  A Euclidean minimum spanning tree over the
+same embedding is always added to the edge set: it guarantees a connected
+graph and, being independent of k, preserves the monotonicity of distances
+under increasing k.
 
 Sampling is stratified and quasi-random (seeded Halton): uniform in rho
 down to a fixed depth below the domain top, uniform in the base and fibre
@@ -31,7 +34,8 @@ import scipy.stats.qmc
 
 from .chart import OMEGA, DomainSpec, ResolvedPoint, contract, rho, second_chart
 from .errors import DegenerateMetric, OnZeroSection
-from .forms import CONE_METRIC, FormKind, calabi_family, eval_form
+from .forms import CONE_METRIC, FormKind, calabi_family, eval_forms
+from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 from .profile import ProfileParams, cone_profile, eval_profile
 
 #: Sampled clouds reach this far below the domain's rho supremum.
@@ -179,55 +183,38 @@ def sample_domain(
     return pts
 
 
-def _embedding(points: list[ResolvedPoint]) -> np.ndarray:
-    emb = np.empty((len(points), 8))
-    for i, p in enumerate(points):
-        y = contract(p).y
-        emb[i] = [y[0].real, y[0].imag, y[1].real, y[1].imag,
-                  y[2].real, y[2].imag, y[3].real, y[3].imag]
-    return emb
+def _coords(points: list[ResolvedPoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coordinate arrays (z, xi1, xi2) of a list of points."""
+    return tuple(np.array([getattr(p, c) for p in points], dtype=complex)
+                 for c in ("z", "xi1", "xi2"))
 
 
 def _graph_edges(points: list[ResolvedPoint], graph_k: int) -> np.ndarray:
-    """Undirected edge list: symmetrized kNN in the C^4 embedding plus its MST."""
-    emb = _embedding(points)
+    """Sorted undirected edges (i < j): symmetrized kNN in the C^4 embedding plus its MST."""
+    emb = np.stack(contract(ResolvedPoint(*_coords(points))).y, axis=1).view(float)
     n = len(points)
-    tree = scipy.spatial.cKDTree(emb)
     k = min(graph_k + 1, n)
-    _, idx = tree.query(emb, k=k)
-    pairs = set()
-    for i in range(n):
-        for j in idx[i]:
-            j = int(j)
-            if j != i:
-                pairs.add((min(i, j), max(i, j)))
+    _, idx = scipy.spatial.cKDTree(emb).query(emb, k=k)
+    knn = np.stack([np.repeat(np.arange(n), k), np.ravel(idx)], axis=1)
     # Connectivity backbone, independent of graph_k.
     dense = scipy.spatial.distance.squareform(scipy.spatial.distance.pdist(emb))
-    mst = scipy.sparse.csgraph.minimum_spanning_tree(dense)
-    for i, j in zip(*mst.nonzero()):
-        pairs.add((min(int(i), int(j)), max(int(i), int(j))))
-    return np.array(sorted(pairs), dtype=int)
-
-
-def _segment_weight(kind: FormKind, pa: ResolvedPoint, pb: ResolvedPoint) -> float:
-    dz, d1, d2 = pb.z - pa.z, pb.xi1 - pa.xi1, pb.xi2 - pa.xi2
-    for frac in (0.5, 0.499):
-        mid = ResolvedPoint(pa.z + frac * dz, pa.xi1 + frac * d1, pa.xi2 + frac * d2)
-        try:
-            m = eval_form(kind, mid).m
-        except OnZeroSection:
-            continue
-        vec = np.array([dz, d1, d2], dtype=complex)
-        val = float(np.real(vec @ m @ vec.conjugate()))
-        w = math.sqrt(max(val, 0.0))
-        if not math.isfinite(w):
-            raise DegenerateMetric("nonfinite edge weight")
-        return w
-    raise DegenerateMetric("metric degenerate along a graph edge")
+    mst = np.stack(scipy.sparse.csgraph.minimum_spanning_tree(dense).nonzero(), axis=1)
+    pairs = np.sort(np.concatenate([knn, mst]), axis=1)
+    return np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
 
 
 def _edge_weights(kind: FormKind, points: list[ResolvedPoint], edges: np.ndarray) -> np.ndarray:
-    return np.array([_segment_weight(kind, points[i], points[j]) for i, j in edges])
+    """Length of each edge's coordinate segment under the metric at its midpoint."""
+    a, b = np.stack(_coords(points), axis=1)[edges.T]
+    v = b - a
+    try:
+        m = eval_forms(kind, *(a + 0.5 * v).T)
+    except OnZeroSection as exc:
+        raise DegenerateMetric(f"edge midpoint off the metric's domain: {exc}") from None
+    w = np.sqrt(np.maximum(np.einsum("ei,eij,ej->e", v, m, v.conj()).real, 0.0))
+    if not np.isfinite(w).all():
+        raise DegenerateMetric("nonfinite edge weight")
+    return w
 
 
 def _all_pairs(n: int, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:

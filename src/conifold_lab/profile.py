@@ -113,8 +113,8 @@ def eval_profile(params: ProfileParams, rho: float) -> ProfileEval:
     rho = _clamp_rho(rho)
     if params.t == 0.0:
         return cone_profile(rho)
-    up = solve_uprime(params, rho)
     erho = math.exp(rho)
+    up = erho * _solve_q(params.t, erho)
     # Factored so neither e^{2 rho} nor e^{-2 rho} is ever formed.
     us = (erho / (params.t + up)) * (erho / up)
     return ProfileEval(rho=rho, uprime=up, usecond=us)

@@ -108,11 +108,14 @@ class TestRicciForm:
             ricci_form(TAU, ResolvedPoint(0.3, 0.5, 0.1), s)
 
     def test_stencil_out_of_domain(self):
-        # so deep that the family metric refuses the whole neighbourhood,
-        # including the coarse fallback stencil
+        # so deep that the family metric refuses the whole neighbourhood
         deep = ResolvedPoint(0, math.exp(-400), 0)
         with pytest.raises(StencilOutOfDomain):
             ricci_form(calabi_family(0.5), deep, StencilSpec(h=1e-3, order=4))
+        # one stencil point (the step -h along Re xi1) lands exactly on the
+        # zero section; there is no retry with a coarser step
+        with pytest.raises(StencilOutOfDomain):
+            ricci_form(calabi_family(0.5), ResolvedPoint(0.3, 1e-3, 0), StencilSpec(1e-3, 4))
 
 
 class TestRicciPotential:

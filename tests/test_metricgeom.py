@@ -5,12 +5,25 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse.csgraph
+import scipy.spatial
+import scipy.spatial.distance
 
 from conifold_lab.chart import OMEGA, ResolvedPoint, contract, omega_r, rho
 from conifold_lab.errors import DegenerateMetric, OnZeroSection
-from conifold_lab.forms import CONIFOLD_FLAT, calabi_family
+from conifold_lab.forms import (
+    CONE_METRIC,
+    CONIFOLD_FLAT,
+    FUBINI_STUDY,
+    OMEGA_HAT,
+    TAU,
+    calabi_family,
+    eval_form,
+)
 from conifold_lab.metricgeom import (
     MetricCloud,
+    _edge_weights,
+    _graph_edges,
     build_cloud,
     cloud_diameter,
     fs_diameter,
@@ -73,6 +86,25 @@ def zero_section_area_quadrature(t, rho_floor=-300.0):
 
     val, _ = scipy.integrate.quad(integrand, 0.0, 1.0, **_QUAD_OPTS)
     return 2.0 * 4.0 * math.pi * val
+
+
+def set_graph_edges(points, graph_k):
+    """Oracle for the edge list: kNN and MST pairs collected one by one in a set."""
+    emb = np.array([[x for y in contract(p).y for x in (y.real, y.imag)] for p in points])
+    n = len(points)
+    _, idx = scipy.spatial.cKDTree(emb).query(emb, k=min(graph_k + 1, n))
+    pairs = {(min(i, int(j)), max(i, int(j))) for i in range(n) for j in idx[i] if j != i}
+    dense = scipy.spatial.distance.squareform(scipy.spatial.distance.pdist(emb))
+    mst = scipy.sparse.csgraph.minimum_spanning_tree(dense)
+    pairs |= {(min(int(i), int(j)), max(int(i), int(j))) for i, j in zip(*mst.nonzero())}
+    return np.array(sorted(pairs), dtype=int)
+
+
+def segment_weight(kind, pa, pb):
+    """Oracle for one edge weight: the midpoint form contracted with the difference vector."""
+    v = np.array([pb.z - pa.z, pb.xi1 - pa.xi1, pb.xi2 - pa.xi2], dtype=complex)
+    mid = ResolvedPoint(pa.z + 0.5 * v[0], pa.xi1 + 0.5 * v[1], pa.xi2 + 0.5 * v[2])
+    return math.sqrt(max(float(np.real(v @ eval_form(kind, mid).m @ v.conjugate())), 0.0))
 
 
 class TestRadialLength:
@@ -224,6 +256,39 @@ class TestCloud:
             c = build_cloud(OMEGA, calabi_family(t), n=250, graph_k=8, seed=9)
             diams.append(cloud_diameter(c))
         assert max(diams) <= 2.0 * min(diams)
+
+
+class TestGraph:
+    @pytest.mark.parametrize(
+        "domain, n, seed, k",
+        [(OMEGA, 120, 5, 6), (OMEGA, 120, 5, 12), (OMEGA, 700, 23, 10),
+         (omega_r(0.005), 300, 17, 8)],
+    )
+    def test_edges_match_set_oracle(self, domain, n, seed, k):
+        pts = sample_domain(domain, n, seed)
+        np.testing.assert_array_equal(_graph_edges(pts, k), set_graph_edges(pts, k))
+
+    @pytest.mark.parametrize(
+        "kind",
+        [FUBINI_STUDY, OMEGA_HAT, TAU, CONIFOLD_FLAT, calabi_family(1.0), calabi_family(0.01),
+         CONE_METRIC],
+        ids=lambda kind: f"{kind.tag}-{kind.t}",
+    )
+    def test_weights_match_per_edge_oracle(self, kind):
+        pts = sample_domain(OMEGA, 200, seed=3)
+        edges = _graph_edges(pts, graph_k=8)
+        got = _edge_weights(kind, pts, edges)
+        want = np.array([segment_weight(kind, pts[i], pts[j]) for i, j in edges])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_zero_section_midpoint_raises(self):
+        xi = (0.3 + 0.1j, -0.2j)
+        pts = [ResolvedPoint(0.2, *xi), ResolvedPoint(0.5j, -xi[0], -xi[1])]
+        edges = _graph_edges(pts, graph_k=4)
+        np.testing.assert_array_equal(edges, [[0, 1]])
+        for kind in (calabi_family(0.5), CONE_METRIC):
+            with pytest.raises(DegenerateMetric):
+                _edge_weights(kind, pts, edges)
 
 
 class TestGH:

@@ -129,6 +129,10 @@ class TestSolveUprime:
     def test_clamp_warns(self):
         with pytest.warns(RangeClampedWarning):
             solve_uprime(ProfileParams(0.5), -800.0)
+        with pytest.warns(RangeClampedWarning):
+            prof = eval_profile(ProfileParams(0.5), -800.0)
+        assert prof.rho == -700.0
+        assert prof.uprime == solve_uprime(ProfileParams(0.5), -700.0)
 
 
 class TestEvalProfile:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import IndeterminateFlop, OnZeroSection
 
 NEG_INFINITY = float("-inf")
@@ -82,12 +84,11 @@ def omega_r(r: float) -> DomainSpec:
     return DomainSpec("OmegaR", r)
 
 
-def rho(p: ResolvedPoint) -> float:
-    """Log fibre radius; -inf on the zero section."""
-    s = math.hypot(abs(p.xi1), abs(p.xi2))
-    if s == 0.0:
-        return NEG_INFINITY
-    return math.log1p(abs(p.z) ** 2) + 2.0 * math.log(s)
+def rho(p: ResolvedPoint):
+    """Log fibre radius, -inf on the zero section; scalar or equal-shape array coordinates."""
+    with np.errstate(divide="ignore"):
+        r = np.log1p(abs(p.z) ** 2) + 2.0 * np.log(np.hypot(abs(p.xi1), abs(p.xi2)))
+    return r if isinstance(r, np.ndarray) else float(r)
 
 
 def rho_alpha(p: ResolvedPoint, alpha: int) -> float:

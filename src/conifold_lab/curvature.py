@@ -7,10 +7,14 @@ real-coordinate stencils via the Wirtinger identities
         = (1/4) [ d_{x_i} d_{x_j} + d_{y_i} d_{y_j}
                   + i ( d_{x_i} d_{y_j} - d_{y_i} d_{x_j} ) ] f,
 
-so for a real field the result is Hermitian by construction (the lower
-triangle is mirrored).  The Ricci form of a metric kind is
--hessian(log det M) computed this way, with log det evaluated through a
-Cholesky factorization so loss of positivity is detected, while the scalar
+so for a real field the result is Hermitian by construction (the upper
+triangle is mirrored).  The stencil is a table of the K distinct real-axis
+offsets around p (217 at order 4, 61 at order 2) and the weights that turn
+field values into those derivatives, so a field takes array coordinates of
+shape (K,), one lane per stencil point, and is evaluated once per Hessian.
+The Ricci form of a metric kind is -hessian(log det M) computed this way,
+with log det from one ``eval_forms`` call and one stacked Cholesky
+factorization so loss of positivity is detected, while the scalar
 radial-potential residual provides the independent exact route to the same
 Ricci-flatness statement: the two agreeing is the point of this module.
 """
@@ -25,7 +29,8 @@ import numpy as np
 
 from .chart import ResolvedPoint
 from .errors import NonFinite, OnZeroSection, SingularMetric, StencilOutOfDomain
-from .forms import FormKind, HermitianForm, eval_form
+from .forms import FormKind, HermitianForm, eval_forms
+from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 from .profile import ProfileParams, eval_profile
 
 
@@ -43,92 +48,80 @@ class StencilSpec:
             raise ValueError("stencil order must be 2 or 4")
 
 
-def _shift(p: ResolvedPoint, deltas: dict[int, float]) -> ResolvedPoint:
-    """Displace p along real axes (Re z, Im z, Re xi1, Im xi1, Re xi2, Im xi2)."""
-    c = [complex(p.z), complex(p.xi1), complex(p.xi2)]
-    for axis, d in deltas.items():
-        i, im = divmod(axis, 2)
-        c[i] = c[i] + (1j * d if im else d)
-    return ResolvedPoint(*c)
+def _stencil(s: StencilSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets (K, 6) along (Re z, Im z, Re xi1, Im xi1, Re xi2, Im xi2) and weights (K, 6, 6).
 
-
-# axis-offset weights for the first-derivative order-4 stencil (times 1/(12h))
-_D1_W4 = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))
-
-
-def _second_pure(f, p, axis, h, order, f0):
-    if order == 2:
-        return (f(_shift(p, {axis: h})) - 2.0 * f0 + f(_shift(p, {axis: -h}))) / h**2
-    return (
-        -f(_shift(p, {axis: 2 * h}))
-        + 16.0 * f(_shift(p, {axis: h}))
-        - 30.0 * f0
-        + 16.0 * f(_shift(p, {axis: -h}))
-        - f(_shift(p, {axis: -2 * h}))
-    ) / (12.0 * h**2)
-
-
-def _second_mixed(f, p, ax_a, ax_b, h, order):
-    if order == 2:
-        return (
-            f(_shift(p, {ax_a: h, ax_b: h}))
-            - f(_shift(p, {ax_a: h, ax_b: -h}))
-            - f(_shift(p, {ax_a: -h, ax_b: h}))
-            + f(_shift(p, {ax_a: -h, ax_b: -h}))
-        ) / (4.0 * h**2)
-    acc = 0.0
-    for sa, wa in _D1_W4:
-        for sb, wb in _D1_W4:
-            acc += wa * wb * f(_shift(p, {ax_a: sa * h, ax_b: sb * h}))
-    return acc / (144.0 * h**2)
+    Contracting field values with the weights gives the real d_a d_b for
+    a == b (1-D second-derivative stencil) and for a < b on distinct
+    coordinates (outer product of the 1-D first-derivative stencil); other
+    entries are zero.  Row 0 is the centre.
+    """
+    if s.order == 2:
+        off, d1 = np.array([-1.0, 1.0]), np.array([-1.0, 1.0]) / 2.0
+        d2, d2_centre = np.array([1.0, 1.0]), -2.0
+    else:
+        off = np.array([-2.0, -1.0, 1.0, 2.0])
+        d1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+        d2, d2_centre = np.array([-1.0, 16.0, 16.0, -1.0]) / 12.0, -30.0 / 12.0
+    eye = np.eye(6)
+    a, b = np.triu_indices(6, 1)
+    keep = a // 2 != b // 2
+    a, b = a[keep], b[keep]
+    # rows: centre, pure (offset, axis), mixed (offset on a, offset on b, axis pair)
+    offsets = np.concatenate([
+        np.zeros((1, 6)),
+        (off[:, None, None] * eye).reshape(-1, 6),
+        (off[:, None, None, None] * eye[a] + off[:, None, None] * eye[b]).reshape(-1, 6),
+    ])
+    weights = np.concatenate([
+        d2_centre * eye[None],
+        (d2[:, None, None, None] * eye[:, :, None] * eye[:, None, :]).reshape(-1, 6, 6),
+        (np.multiply.outer(d1, d1)[:, :, None, None, None]
+         * eye[a][:, :, None] * eye[b][:, None, :]).reshape(-1, 6, 6),
+    ])
+    return offsets * s.h, weights / s.h**2
 
 
 def complex_hessian(
-    f: Callable[[ResolvedPoint], float], p: ResolvedPoint, s: StencilSpec
+    f: Callable[[ResolvedPoint], np.ndarray], p: ResolvedPoint, s: StencilSpec
 ) -> HermitianForm:
-    """Matrix of d^2 f / dc_i dcbar_j at p by centered differences."""
+    """Matrix of d^2 f / dc_i dcbar_j at p by centered differences.
+
+    f is called once, on a ResolvedPoint whose coordinates are arrays of
+    shape (K,) holding the stencil points, and returns one real value per
+    lane.  ``OnZeroSection`` from any lane raises ``StencilOutOfDomain``, a
+    non-finite value at any lane ``NonFinite``.
+    """
+    offsets, weights = _stencil(s)
+    lanes = np.array([p.z, p.xi1, p.xi2]) + offsets[:, 0::2] + 1j * offsets[:, 1::2]
     try:
-        f0 = f(p)
-        if not math.isfinite(f0):
-            raise NonFinite("field value at the stencil center is not finite")
-        m = np.zeros((3, 3), dtype=complex)
-        for i in range(3):
-            xi, yi = 2 * i, 2 * i + 1
-            m[i, i] = 0.25 * (
-                _second_pure(f, p, xi, s.h, s.order, f0)
-                + _second_pure(f, p, yi, s.h, s.order, f0)
-            )
-            for j in range(i + 1, 3):
-                xj, yj = 2 * j, 2 * j + 1
-                dxx = _second_mixed(f, p, xi, xj, s.h, s.order)
-                dyy = _second_mixed(f, p, yi, yj, s.h, s.order)
-                dxy = _second_mixed(f, p, xi, yj, s.h, s.order)
-                dyx = _second_mixed(f, p, yi, xj, s.h, s.order)
-                m[i, j] = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
-                m[j, i] = m[i, j].conjugate()
+        values = np.asarray(f(ResolvedPoint(*lanes.T)))
     except OnZeroSection as exc:
         raise StencilOutOfDomain(str(exc)) from None
-    return HermitianForm(base=p, m=m)
-
-
-def _log_det_field(kind: FormKind) -> Callable[[ResolvedPoint], float]:
-    def field(q: ResolvedPoint) -> float:
-        m = eval_form(kind, q).m
-        try:
-            chol = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            raise SingularMetric(f"{kind.tag} lost positivity on the stencil") from None
-        return float(2.0 * np.sum(np.log(np.real(np.diagonal(chol)))))
-
-    return field
+    if not np.isfinite(values).all():
+        raise NonFinite("field value at a stencil point is not finite")
+    d = np.tensordot(values, weights, 1).reshape(3, 2, 3, 2)
+    # upper triangle and diagonal; the lower triangle is exactly zero until mirrored
+    m = 0.25 * ((d[:, 0, :, 0] + d[:, 1, :, 1]) + 1j * (d[:, 0, :, 1] - d[:, 1, :, 0]))
+    return HermitianForm(base=p, m=m + np.triu(m, 1).conj().T)
 
 
 def ricci_form(kind: FormKind, p: ResolvedPoint, s: StencilSpec) -> HermitianForm:
     """Ricci form -hessian(log det M) of the kind's metric at p.
 
-    Raises ``StencilOutOfDomain`` if a stencil point leaves the metric's domain.
+    log det comes from one ``eval_forms`` call and one stacked Cholesky.
+    Raises ``StencilOutOfDomain`` if a stencil point leaves the metric's
+    domain and ``SingularMetric`` if M is not positive definite at one.
     """
-    return HermitianForm(base=p, m=-complex_hessian(_log_det_field(kind), p, s).m)
+
+    def log_det(q: ResolvedPoint) -> np.ndarray:
+        try:
+            chol = np.linalg.cholesky(eval_forms(kind, q.z, q.xi1, q.xi2))
+        except np.linalg.LinAlgError:
+            raise SingularMetric(f"{kind.tag} lost positivity on the stencil") from None
+        return 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
+
+    return HermitianForm(base=p, m=-complex_hessian(log_det, p, s).m)
 
 
 def ricci_potential_residual(t: float, rho_samples: list[float]) -> float:

@@ -191,8 +191,7 @@ def eval_forms(kind: FormKind, z, xi1, xi2) -> np.ndarray:
     z, xi1, xi2 = np.broadcast_arrays(*(np.asarray(c, dtype=complex) for c in (z, xi1, xi2)))
 
     def profile():
-        with np.errstate(divide="ignore"):
-            r = np.log1p(abs(z) ** 2) + 2.0 * np.log(np.hypot(abs(xi1), abs(xi2)))
+        r = np.asarray(rho(ResolvedPoint(z, xi1, xi2)))
         lanes = np.reshape([_profile_at(kind, x) for x in r.ravel().tolist()], r.shape + (2,))
         return lanes[..., 0], lanes[..., 1]
 

@@ -12,8 +12,15 @@ from conifold_lab.curvature import (
     ricci_form,
     ricci_potential_residual,
 )
-from conifold_lab.errors import SingularMetric, StencilOutOfDomain
-from conifold_lab.forms import CONE_METRIC, OMEGA_HAT, TAU, calabi_family, restrict_to_fibre
+from conifold_lab.errors import NonFinite, SingularMetric, StencilOutOfDomain
+from conifold_lab.forms import (
+    CONE_METRIC,
+    OMEGA_HAT,
+    TAU,
+    calabi_family,
+    eval_forms,
+    restrict_to_fibre,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -54,7 +61,7 @@ class TestComplexHessian:
     def test_hermitian_output(self):
         s = StencilSpec(h=1e-3, order=4)
         p = random_shell_point()
-        m = complex_hessian(lambda q: math.exp(rho(q)), p, s).m
+        m = complex_hessian(lambda q: np.exp(rho(q)), p, s).m
         assert np.abs(m - m.conj().T).max() == 0.0
 
     @pytest.mark.parametrize("order", [2, 4])
@@ -66,7 +73,7 @@ class TestComplexHessian:
 
         def err(step):
             m = complex_hessian(
-                lambda q: math.log(1 + abs(q.z) ** 2), p, StencilSpec(h=step, order=order)
+                lambda q: np.log(1 + abs(q.z) ** 2), p, StencilSpec(h=step, order=order)
             ).m
             return np.abs(m - exact).max()
 
@@ -144,3 +151,111 @@ class TestFibreFlatness:
             p = ResolvedPoint(0.3 * s, xi1, w * xi1)
             m2 = restrict_to_fibre(TAU, p).m2
             assert np.abs(m2 - np.eye(2)).max() <= 1e-12
+
+
+# Oracle: the nested per-axis stencil over scalar points that the batched
+# table in complex_hessian replaced, one field call per stencil point.
+def _shift(p, deltas):
+    """Displace p along real axes (Re z, Im z, Re xi1, Im xi1, Re xi2, Im xi2)."""
+    c = [complex(p.z), complex(p.xi1), complex(p.xi2)]
+    for axis, d in deltas.items():
+        i, im = divmod(axis, 2)
+        c[i] = c[i] + (1j * d if im else d)
+    return ResolvedPoint(*c)
+
+
+_D1_W4 = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))
+
+
+def _second_pure(f, p, axis, h, order, f0):
+    if order == 2:
+        return (f(_shift(p, {axis: h})) - 2.0 * f0 + f(_shift(p, {axis: -h}))) / h**2
+    return (
+        -f(_shift(p, {axis: 2 * h}))
+        + 16.0 * f(_shift(p, {axis: h}))
+        - 30.0 * f0
+        + 16.0 * f(_shift(p, {axis: -h}))
+        - f(_shift(p, {axis: -2 * h}))
+    ) / (12.0 * h**2)
+
+
+def _second_mixed(f, p, ax_a, ax_b, h, order):
+    if order == 2:
+        return (
+            f(_shift(p, {ax_a: h, ax_b: h}))
+            - f(_shift(p, {ax_a: h, ax_b: -h}))
+            - f(_shift(p, {ax_a: -h, ax_b: h}))
+            + f(_shift(p, {ax_a: -h, ax_b: -h}))
+        ) / (4.0 * h**2)
+    acc = 0.0
+    for sa, wa in _D1_W4:
+        for sb, wb in _D1_W4:
+            acc += wa * wb * f(_shift(p, {ax_a: sa * h, ax_b: sb * h}))
+    return acc / (144.0 * h**2)
+
+
+def oracle_hessian(f, p, s):
+    f0 = f(p)
+    m = np.zeros((3, 3), dtype=complex)
+    for i in range(3):
+        xi, yi = 2 * i, 2 * i + 1
+        m[i, i] = 0.25 * (
+            _second_pure(f, p, xi, s.h, s.order, f0) + _second_pure(f, p, yi, s.h, s.order, f0)
+        )
+        for j in range(i + 1, 3):
+            xj, yj = 2 * j, 2 * j + 1
+            dxx = _second_mixed(f, p, xi, xj, s.h, s.order)
+            dyy = _second_mixed(f, p, yi, yj, s.h, s.order)
+            dxy = _second_mixed(f, p, xi, yj, s.h, s.order)
+            dyx = _second_mixed(f, p, yi, xj, s.h, s.order)
+            m[i, j] = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
+            m[j, i] = m[i, j].conjugate()
+    return m
+
+
+SHELL_POINTS = [
+    ResolvedPoint(0.3 + 0.4j, 0.5, 0.2),
+    ResolvedPoint(-0.6 + 0.1j, 0.1 - 0.2j, 0.3j),
+    ResolvedPoint(0.9j, 0.05, -0.04 + 0.02j),
+]
+
+
+def mixed_field(q):
+    # non-polynomial, with every mixed derivative nonzero
+    return np.sin(q.z.real * q.xi1.imag + q.xi2.real) + np.exp(rho(q)) / (1 + abs(q.z) ** 2)
+
+
+def family_log_det(q):
+    chol = np.linalg.cholesky(eval_forms(calabi_family(0.1), q.z, q.xi1, q.xi2))
+    return 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
+
+
+class TestBatchedStencil:
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("field", [mixed_field, family_log_det])
+    def test_matches_per_point_oracle(self, order, field):
+        s = StencilSpec(h=1e-3, order=order)
+        for p in SHELL_POINTS:
+            want = oracle_hessian(field, p, s)
+            assert np.abs(complex_hessian(field, p, s).m - want).max() <= 1e-8
+            if field is family_log_det:
+                assert np.abs(ricci_form(calabi_family(0.1), p, s).m + want).max() <= 1e-8
+
+    @pytest.mark.parametrize("order, lanes", [(2, 61), (4, 217)])
+    def test_one_call_on_distinct_lanes(self, order, lanes):
+        calls = []
+
+        def field(q):
+            calls.append(set(zip(q.z.tolist(), q.xi1.tolist(), q.xi2.tolist())))
+            return abs(q.z) ** 2
+
+        complex_hessian(field, ResolvedPoint(0.3, 0.5, 0.1), StencilSpec(h=1e-3, order=order))
+        assert [len(c) for c in calls] == [lanes]
+
+    def test_non_finite_at_any_stencil_point(self):
+        # finite at the centre (Re z = 0.3), infinite at Re z = 0.298 (offset -2h)
+        def field(q):
+            return np.where(q.z.real < 0.2985, np.inf, abs(q.z) ** 2)
+
+        with pytest.raises(NonFinite):
+            complex_hessian(field, ResolvedPoint(0.3, 0.5, 0.1), StencilSpec(h=1e-3, order=4))

@@ -86,7 +86,7 @@ class TestEvalForm:
         stencil = StencilSpec(h=1e-3, order=4)
         for _ in range(10):
             p = random_omega_point(rho_lo=-4.0)
-            fd = complex_hessian(lambda q: math.exp(rho(q)), p, stencil).m
+            fd = complex_hessian(lambda q: np.exp(rho(q)), p, stencil).m
             lhs = eval_form(OMEGA_HAT, p).m
             rhs = eval_form(FUBINI_STUDY, p).m + fd
             assert np.abs(lhs - rhs).max() <= 1e-8

@@ -11,7 +11,18 @@ contraction embedding into C^4, which adapts the graph to the collapsing
 geometry near the zero section.  A Euclidean minimum spanning tree over the
 same embedding is always added to the edge set: it guarantees a connected
 graph and, being independent of k, preserves the monotonicity of distances
-under increasing k.
+under increasing k.  The tree is exact and built without a dense distance
+matrix, by Boruvka rounds over the kNN lists the graph already queries
+(deeper KD-tree queries only where a list cannot certify a point's nearest
+neighbour outside its component).  Each graph stores both directions of
+every edge in one sorted CSR structure, built once and shared by all metric
+kinds.
+
+``gh_upper_bounds`` bounds the Gromov-Hausdorff distance between the graph
+metrics of the t-metric and of the cone on one shared sample, not between
+the continuum spaces.  It runs Dijkstra over fixed chunks of source rows
+and folds each chunk into a running maximum of the discrepancy, so its
+memory grows as O(chunk * n) rather than O(n^2).
 
 Sampling is stratified and quasi-random (seeded Halton): uniform in rho
 down to a fixed depth below the domain top, uniform in the base and fibre
@@ -23,6 +34,7 @@ radial length integral, available as ``radial_stub``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +59,9 @@ _QUAD_RHO_CUT = -120.0
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
 
+#: Source rows per shortest-path call in the streamed GH reduction.
+_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class MetricCloud:
@@ -61,7 +76,13 @@ class MetricCloud:
 
 @dataclass(frozen=True)
 class GHEstimate:
-    """Upper bound on the Gromov-Hausdorff distance at parameter t."""
+    """Upper bound on a Gromov-Hausdorff distance at parameter t.
+
+    The distance bounded is the one between two finite graph metrics on one
+    shared sample of Omega, the t-metric's and the cone's, under the
+    identity correspondence (see ``gh_upper_bounds``); it is not a bound on
+    the distance between the continuum (Omega, omega_t) and the cone.
+    """
 
     t: float
     bound: float
@@ -140,7 +161,7 @@ def sample_domain(
 ) -> list[ResolvedPoint]:
     """Stratified quasi-random sample of n points of the domain (off P0).
 
-    Roughly 80%% fill the rho slab uniformly, 10%% hug the boundary and 10%%
+    Roughly 80% fill the rho slab uniformly, 10% hug the boundary and 10%
     sit on the depth floor, each with base and fibre directions uniform on
     their spheres.  Points landing at |z| > 1 are re-expressed through the
     chart transition, so every returned point lives in the canonical chart
@@ -189,17 +210,70 @@ def _coords(points: list[ResolvedPoint]) -> tuple[np.ndarray, np.ndarray, np.nda
                  for c in ("z", "xi1", "xi2"))
 
 
+def _nearest_outside(comp: np.ndarray, rows: np.ndarray, dd: np.ndarray, idx: np.ndarray):
+    """Each row's nearest listed point outside its component: (distance, index).
+
+    Among equally near points the smallest index wins, which is the smallest
+    edge key (length, min(i, j), max(i, j)) for a fixed row i.  Rows with no
+    listed outside point get (inf, n).
+    """
+    out = comp[idx] != comp[rows][:, None]
+    dist = np.where(out, dd, np.inf)
+    d = dist.min(axis=1)
+    j = np.where(out & (dist == d[:, None]), idx, len(comp)).min(axis=1)
+    return d, j
+
+
+def _emst(tree: scipy.spatial.cKDTree, dd: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Exact Euclidean minimum spanning tree of the tree's points (Boruvka).
+
+    ``dd, idx`` are every point's sorted nearest neighbours from ``tree.query``.
+    Each round every component takes its smallest outgoing edge under the key
+    (length, min(i, j), max(i, j)); the key is a total order, so the chosen
+    edges form a forest.  A point's first listed neighbour outside its
+    component is its exact nearest outside point when it is nearer than the
+    list's last entry.  Otherwise the tree is queried again at twice the
+    depth, but only while the list's last distance does not exceed the
+    component's best edge so far: every unlisted point is at least that far,
+    so it could not win.  Returns the n - 1 edges as rows (i < j).
+    """
+    n = tree.n
+    points = np.arange(n)
+    comp, ncomp = points, n
+    mst = np.empty((0, 2), dtype=np.intp)
+    while ncomp > 1:
+        d, j = _nearest_outside(comp, points, dd, idx)
+        best = np.full(n, np.inf)
+        np.minimum.at(best, comp, d)
+        last = dd[:, -1]
+        deep = np.flatnonzero((d >= last) & (last <= best[comp]))
+        k = dd.shape[1]
+        while deep.size:
+            k = min(2 * k, n)
+            dq, iq = tree.query(tree.data[deep], k=k)
+            d[deep], j[deep] = _nearest_outside(comp, deep, dq, iq)
+            np.minimum.at(best, comp[deep], d[deep])
+            last = dq[:, -1]
+            deep = deep[(d[deep] >= last) & (last <= best[comp[deep]]) & (k < n)]
+        lo, hi = np.minimum(points, j), np.maximum(points, j)
+        order = np.lexsort((hi, lo, d, comp))
+        first = order[np.r_[True, comp[order[1:]] != comp[order[:-1]]]]
+        mst = np.unique(np.concatenate([mst, np.stack([lo[first], hi[first]], axis=1)]), axis=0)
+        tree_so_far = scipy.sparse.coo_matrix((np.ones(len(mst)), mst.T), shape=(n, n))
+        ncomp, comp = scipy.sparse.csgraph.connected_components(tree_so_far, directed=False)
+    return mst
+
+
 def _graph_edges(points: list[ResolvedPoint], graph_k: int) -> np.ndarray:
-    """Sorted undirected edges (i < j): symmetrized kNN in the C^4 embedding plus its MST."""
+    """Sorted undirected edges (i < j): symmetrized kNN in the C^4 embedding plus its EMST."""
     emb = np.stack(contract(ResolvedPoint(*_coords(points))).y, axis=1).view(float)
     n = len(points)
     k = min(graph_k + 1, n)
-    _, idx = scipy.spatial.cKDTree(emb).query(emb, k=k)
+    tree = scipy.spatial.cKDTree(emb)
+    dd, idx = (a.reshape(n, k) for a in tree.query(emb, k=k))
     knn = np.stack([np.repeat(np.arange(n), k), np.ravel(idx)], axis=1)
     # Connectivity backbone, independent of graph_k.
-    dense = scipy.spatial.distance.squareform(scipy.spatial.distance.pdist(emb))
-    mst = np.stack(scipy.sparse.csgraph.minimum_spanning_tree(dense).nonzero(), axis=1)
-    pairs = np.sort(np.concatenate([knn, mst]), axis=1)
+    pairs = np.sort(np.concatenate([knn, _emst(tree, dd, idx)]), axis=1)
     return np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
 
 
@@ -217,11 +291,31 @@ def _edge_weights(kind: FormKind, points: list[ResolvedPoint], edges: np.ndarray
     return w
 
 
-def _all_pairs(n: int, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    graph = scipy.sparse.csr_matrix(
-        (weights, (edges[:, 0], edges[:, 1])), shape=(n, n)
-    )
-    dist = scipy.sparse.csgraph.shortest_path(graph, method="D", directed=False)
+def _symmetric_graph(
+    n: int, edges: np.ndarray
+) -> Callable[[np.ndarray], scipy.sparse.csr_matrix]:
+    """Weights -> sparse graph that stores each edge in both directions.
+
+    The sorted two-direction CSR structure is built once; each metric kind
+    only permutes its edge weights into the matrix data.
+    """
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = cols[order].astype(np.int32)
+    perm = order % len(edges)
+
+    def graph(weights: np.ndarray) -> scipy.sparse.csr_matrix:
+        return scipy.sparse.csr_matrix((weights[perm], indices, indptr), shape=(n, n))
+
+    return graph
+
+
+def _all_pairs(graph: scipy.sparse.csr_matrix, sources: np.ndarray | None = None) -> np.ndarray:
+    """Shortest-path distances from ``sources`` (default: every node) in a symmetric graph."""
+    dist = scipy.sparse.csgraph.shortest_path(graph, method="D", directed=True, indices=sources)
     if np.isinf(dist).any():
         raise DegenerateMetric("sampled graph is not connected")
     return dist
@@ -237,8 +331,7 @@ def build_cloud(
         raise ValueError("need graph_k >= 4")
     points = sample_domain(d, n, seed)
     edges = _graph_edges(points, graph_k)
-    weights = _edge_weights(kind, points, edges)
-    dist = _all_pairs(n, edges, weights)
+    dist = _all_pairs(_symmetric_graph(n, edges)(_edge_weights(kind, points, edges)))
     return MetricCloud(points=points, kind=kind, dist=dist, graph_k=graph_k, seed=seed)
 
 
@@ -250,24 +343,33 @@ def cloud_diameter(c: MetricCloud) -> float:
 def gh_upper_bounds(
     t_grid: list[float], n: int, seed: int, graph_k: int = 12
 ) -> list[GHEstimate]:
-    """GH upper bounds against the cone for several t sharing one sampled graph.
+    """GH upper bounds between the sampled graph metrics of each t and of the cone.
 
-    The same points and edges are weighted under the t-metric and under the
-    cone metric; the identity correspondence then bounds the GH distance by
-    half the largest discrepancy between the two distance matrices.
+    One sample of Omega and one edge set are weighted under the t-metric and
+    under the cone metric, giving two finite metric spaces on the same n
+    points.  The identity correspondence bounds the GH distance between
+    these two graph metrics by half the largest discrepancy of their
+    distances.  It is not a bound on the GH distance between the continuum
+    (Omega, omega_t) and the cone: sampling and graph errors are not
+    included.  The discrepancy is reduced over chunks of source rows, so no
+    n x n matrix is held.
     """
     for t in t_grid:
         if not (0.0 < t <= 1.0):
             raise ValueError("t must lie in (0, 1]")
     points = sample_domain(OMEGA, n, seed)
     edges = _graph_edges(points, graph_k)
-    d_cone = _all_pairs(n, edges, _edge_weights(CONE_METRIC, points, edges))
-    out = []
-    for t in t_grid:
-        d_t = _all_pairs(n, edges, _edge_weights(calabi_family(t), points, edges))
-        distortion = float(np.max(np.abs(d_t - d_cone)))
-        out.append(GHEstimate(t=t, bound=0.5 * distortion))
-    return out
+    graph = _symmetric_graph(n, edges)
+    cone = graph(_edge_weights(CONE_METRIC, points, edges))
+    family = [graph(_edge_weights(calabi_family(t), points, edges)) for t in t_grid]
+    distortion = [0.0] * len(t_grid)
+    for start in range(0, n, _CHUNK):
+        sources = np.arange(start, min(start + _CHUNK, n))
+        d_cone = _all_pairs(cone, sources)
+        for i, g in enumerate(family):
+            gap = float(np.max(np.abs(_all_pairs(g, sources) - d_cone)))
+            distortion[i] = max(distortion[i], gap)
+    return [GHEstimate(t=t, bound=0.5 * d) for t, d in zip(t_grid, distortion)]
 
 
 def gh_upper_bound(t: float, n: int, seed: int, graph_k: int = 12) -> GHEstimate:

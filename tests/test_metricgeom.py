@@ -1,6 +1,7 @@
 """Lengths, areas, diameters, clouds and GH bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,12 @@ from conifold_lab.forms import (
 )
 from conifold_lab.metricgeom import (
     MetricCloud,
+    _CHUNK,
+    _all_pairs,
     _edge_weights,
+    _emst,
     _graph_edges,
+    _symmetric_graph,
     build_cloud,
     cloud_diameter,
     fs_diameter,
@@ -88,16 +93,46 @@ def zero_section_area_quadrature(t, rho_floor=-300.0):
     return 2.0 * 4.0 * math.pi * val
 
 
+def embedding(points):
+    """The points' contraction images in C^4 as rows of 8 reals, one point at a time."""
+    return np.array([[x for y in contract(p).y for x in (y.real, y.imag)] for p in points])
+
+
+def dense_emst(emb):
+    """Oracle for the backbone: the MST of the dense Euclidean distance matrix, rows (i < j)."""
+    dense = scipy.spatial.distance.squareform(scipy.spatial.distance.pdist(emb))
+    mst = np.sort(np.stack(scipy.sparse.csgraph.minimum_spanning_tree(dense).nonzero(), axis=1))
+    return mst[np.lexsort(mst.T[::-1])]
+
+
 def set_graph_edges(points, graph_k):
-    """Oracle for the edge list: kNN and MST pairs collected one by one in a set."""
-    emb = np.array([[x for y in contract(p).y for x in (y.real, y.imag)] for p in points])
+    """Oracle for the edge list: kNN and dense-MST pairs collected one by one in a set."""
+    emb = embedding(points)
     n = len(points)
     _, idx = scipy.spatial.cKDTree(emb).query(emb, k=min(graph_k + 1, n))
     pairs = {(min(i, int(j)), max(i, int(j))) for i in range(n) for j in idx[i] if j != i}
-    dense = scipy.spatial.distance.squareform(scipy.spatial.distance.pdist(emb))
-    mst = scipy.sparse.csgraph.minimum_spanning_tree(dense)
-    pairs |= {(min(int(i), int(j)), max(int(i), int(j))) for i, j in zip(*mst.nonzero())}
+    pairs |= {(int(i), int(j)) for i, j in dense_emst(emb)}
     return np.array(sorted(pairs), dtype=int)
+
+
+def emst_of(emb, k):
+    """The Boruvka backbone of emb from its (k + 1)-nearest-neighbour lists."""
+    tree = scipy.spatial.cKDTree(emb)
+    dd, idx = tree.query(emb, k=k + 1)
+    return _emst(tree, dd, idx)
+
+
+def gh_dense(t_grid, n, seed, graph_k):
+    """Oracle for gh_upper_bounds: half the max discrepancy of the full distance matrices."""
+    pts = sample_domain(OMEGA, n, seed)
+    edges = _graph_edges(pts, graph_k)
+    graph = _symmetric_graph(n, edges)
+    d_cone = _all_pairs(graph(_edge_weights(CONE_METRIC, pts, edges)))
+    return [
+        0.5 * float(np.max(np.abs(
+            _all_pairs(graph(_edge_weights(calabi_family(t), pts, edges))) - d_cone)))
+        for t in t_grid
+    ]
 
 
 def segment_weight(kind, pa, pb):
@@ -219,10 +254,9 @@ class TestCloud:
         for s in np.linspace(0.2, 1.0, 12):
             pts.append(ResolvedPoint(base.z, s * base.xi1, s * base.xi2))
         # embed them into a sampled cloud by hand: weight pairs directly
-        from conifold_lab.metricgeom import _all_pairs, _graph_edges, _edge_weights
-
         edges = _graph_edges(pts, graph_k=4)
-        dist = _all_pairs(len(pts), edges, _edge_weights(CONIFOLD_FLAT, pts, edges))
+        graph = _symmetric_graph(len(pts), edges)
+        dist = _all_pairs(graph(_edge_weights(CONIFOLD_FLAT, pts, edges)))
         radii = [math.sqrt(sum(abs(v) ** 2 for v in contract(p).y)) for p in pts]
         for i in range(len(pts)):
             for j in range(len(pts)):
@@ -262,11 +296,21 @@ class TestGraph:
     @pytest.mark.parametrize(
         "domain, n, seed, k",
         [(OMEGA, 120, 5, 6), (OMEGA, 120, 5, 12), (OMEGA, 700, 23, 10),
-         (omega_r(0.005), 300, 17, 8)],
+         (omega_r(0.005), 300, 17, 8), (OMEGA, 400, 0, 4), (OMEGA, 800, 8, 4)],
     )
     def test_edges_match_set_oracle(self, domain, n, seed, k):
         pts = sample_domain(domain, n, seed)
         np.testing.assert_array_equal(_graph_edges(pts, k), set_graph_edges(pts, k))
+
+    @pytest.mark.parametrize("n, seed", [(400, 0), (800, 8)])
+    def test_backbone_repairs_knn_graph(self, n, seed):
+        # in these clouds the EMST has exactly one edge that the 4-NN graph lacks
+        pts = sample_domain(OMEGA, n, seed)
+        emb = embedding(pts)
+        _, idx = scipy.spatial.cKDTree(emb).query(emb, k=5)
+        knn = {(min(i, int(j)), max(i, int(j))) for i in range(n) for j in idx[i] if j != i}
+        assert len(_graph_edges(pts, 4)) == len(knn) + 1
+
 
     @pytest.mark.parametrize(
         "kind",
@@ -289,6 +333,42 @@ class TestGraph:
         for kind in (calabi_family(0.5), CONE_METRIC):
             with pytest.raises(DegenerateMetric):
                 _edge_weights(kind, pts, edges)
+
+
+class TestBackbone:
+    @pytest.mark.parametrize("domain", [OMEGA, omega_r(0.05)], ids=["Omega", "Omega_0.05"])
+    @pytest.mark.parametrize("n", [50, 400, 2000])
+    def test_matches_dense_emst(self, domain, n):
+        emb = embedding(sample_domain(domain, n, seed=n))
+        want = dense_emst(emb)
+        for k in (4, 12):
+            np.testing.assert_array_equal(emst_of(emb, k), want)
+
+    def test_separated_clusters_match_dense_emst(self):
+        # every 4-NN list stays inside its cluster, so each join needs deeper queries
+        rng = np.random.default_rng(4)
+        emb = np.concatenate([rng.normal(size=(60, 8)) + 40.0 * c for c in np.eye(8)[:3]])
+        np.testing.assert_array_equal(emst_of(emb, 4), dense_emst(emb))
+
+    @pytest.mark.parametrize("k", [4, 12])
+    def test_grid_ties(self, k):
+        # a unit grid: equal distances everywhere, and every MST edge has length 1
+        emb = np.stack(np.meshgrid(np.arange(7), np.arange(6), np.arange(5)), -1).reshape(-1, 3)
+        n = len(emb)
+        mst = emst_of(emb.astype(float), k)
+        assert mst.shape == (n - 1, 2)
+        assert (mst[:, 0] < mst[:, 1]).all()
+        np.testing.assert_array_equal(np.linalg.norm(emb[mst[:, 0]] - emb[mst[:, 1]], axis=1), 1.0)
+        tree = scipy.sparse.coo_matrix((np.ones(n - 1), mst.T), shape=(n, n))
+        assert scipy.sparse.csgraph.connected_components(tree, directed=False)[0] == 1
+
+    def test_equal_length_joins_form_no_cycle(self):
+        # a hexagon with alternating sides sqrt(2) and sqrt(8), exact in floats: the
+        # first round pairs (0,1), (2,3), (4,5); in the second each pair has two
+        # joins of equal length, and choosing them by the lowest point index
+        # would close the cycle (0,3), (2,5), (1,4)
+        emb = np.array([[3, 1, 0], [3, 0, 1], [0, 3, 1], [1, 3, 0], [1, 0, 3], [0, 1, 3]], float)
+        np.testing.assert_array_equal(emst_of(emb, 4), [[0, 1], [0, 3], [1, 4], [2, 3], [4, 5]])
 
 
 class TestGH:
@@ -314,7 +394,6 @@ class TestGH:
         # sit next to the tip), the t-distance is controlled by two radial
         # legs plus a traverse of the shrunken zero section
         from conifold_lab.forms import CONE_METRIC
-        from conifold_lab.metricgeom import _all_pairs, _edge_weights, _graph_edges
 
         pts = sample_domain(OMEGA, 700, seed=23)
         floor = [i for i, p in enumerate(pts) if rho(p) < -19.9]
@@ -333,9 +412,10 @@ class TestGH:
         assert base_angle(i, j) > 1.0  # genuinely far apart on the base
 
         edges = _graph_edges(pts, graph_k=10)
+        graph = _symmetric_graph(len(pts), edges)
         t = 1.0
-        d_t = _all_pairs(len(pts), edges, _edge_weights(calabi_family(t), pts, edges))
-        d_0 = _all_pairs(len(pts), edges, _edge_weights(CONE_METRIC, pts, edges))
+        d_t = _all_pairs(graph(_edge_weights(calabi_family(t), pts, edges)))
+        d_0 = _all_pairs(graph(_edge_weights(CONE_METRIC, pts, edges)))
 
         # cone side: both points collapse to the tip; through-tip cost is two
         # radial stubs of order 1e-3
@@ -349,6 +429,33 @@ class TestGH:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             gh_upper_bound(0.0, n=100, seed=1)
+
+    @pytest.mark.parametrize(
+        "n, seed, k",
+        # at n=600, seed 1 every t attains its maximum only in rows past the first chunk
+        [(_CHUNK - 1, 1, 8), (_CHUNK, 2, 8), (_CHUNK + 1, 3, 8), (350, 13, 8), (600, 1, 8)],
+    )
+    def test_streamed_equals_dense_reduction(self, n, seed, k):
+        t_grid = [1.0, 0.1, 0.01]
+        got = [e.bound for e in gh_upper_bounds(t_grid, n=n, seed=seed, graph_k=k)]
+        assert got == gh_dense(t_grid, n, seed, k)
+
+    def test_disconnected_graph_raises(self):
+        graph = _symmetric_graph(4, np.array([[0, 1], [2, 3]]))
+        with pytest.raises(DegenerateMetric):
+            _all_pairs(graph(np.ones(2)))
+        with pytest.raises(DegenerateMetric):
+            _all_pairs(graph(np.ones(2)), np.array([2]))
+
+    def test_memory_stays_linear_in_n(self):
+        # the streamed reduction holds O(chunk * n); a dense n x n float matrix alone is 8 MB
+        tracemalloc.start()
+        try:
+            gh_upper_bounds([1.0, 0.1, 0.01], n=1000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestOmegaDeltaShrinking:

@@ -23,22 +23,29 @@ import numpy as np
 
 from .errors import IndeterminateFlop, OnZeroSection
 
-NEG_INFINITY = float("-inf")
-
 #: Sentinel for the fibre coordinate of points with xi1 = 0 (the fibre "L_inf").
 POINT_AT_INFINITY = complex(float("inf"), 0.0)
 
 
 @dataclass(frozen=True)
 class ResolvedPoint:
-    """A point of E: base coordinate z and fibre coordinates (xi1, xi2)."""
+    """A point of E: base coordinate z and fibre coordinates (xi1, xi2).
+
+    The coordinates may also be equal-shape arrays, one lane per point (a
+    stacked point); ``p[i]`` is one point of the stack and ``p[mask]`` or
+    ``p[:m]`` a smaller stack.
+    """
 
     z: complex
     xi1: complex
     xi2: complex
 
-    def on_zero_section(self) -> bool:
-        return self.xi1 == 0 and self.xi2 == 0
+    def __getitem__(self, index) -> ResolvedPoint:
+        return ResolvedPoint(self.z[index], self.xi1[index], self.xi2[index])
+
+    def on_zero_section(self):
+        """Lane-wise xi = 0: a bool for a point, a bool array for a stack."""
+        return (self.xi1 == 0) & (self.xi2 == 0)
 
 
 @dataclass(frozen=True)
@@ -91,14 +98,14 @@ def rho(p: ResolvedPoint):
     return r if isinstance(r, np.ndarray) else float(r)
 
 
-def rho_alpha(p: ResolvedPoint, alpha: int) -> float:
-    """Log radius of the alpha-th line-bundle factor, alpha in {1, 2}."""
+def rho_alpha(p: ResolvedPoint, alpha: int):
+    """Log radius of the alpha-th line-bundle factor, alpha in {1, 2}; -inf where xi_alpha = 0."""
     if alpha not in (1, 2):
         raise ValueError("alpha must be 1 or 2")
     xi = p.xi1 if alpha == 1 else p.xi2
-    if xi == 0:
-        return NEG_INFINITY
-    return math.log1p(abs(p.z) ** 2) + 2.0 * math.log(abs(xi))
+    with np.errstate(divide="ignore"):
+        r = np.log1p(abs(p.z) ** 2) + 2.0 * np.log(abs(xi))
+    return r if isinstance(r, np.ndarray) else float(r)
 
 
 def nu_coords(p: ResolvedPoint) -> tuple[complex, complex]:
@@ -150,8 +157,9 @@ def second_chart(p: ResolvedPoint) -> ResolvedPoint:
     """Transition to the chart covering z = inf: (1/z, z*xi1, z*xi2).
 
     Involutive on its domain and preserves e^rho; only used when sampling
-    near the far pole of the base.
+    near the far pole of the base.  Lane-wise on a stacked point, which
+    raises if any lane has z = 0.
     """
-    if p.z == 0:
+    if np.any(p.z == 0):
         raise ValueError("second chart undefined at z = 0")
     return ResolvedPoint(z=1.0 / p.z, xi1=p.z * p.xi1, xi2=p.z * p.xi2)

@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__, curvature, forms, metricgeom
 from .chart import OMEGA, ResolvedPoint, omega_r, rho, rho_alpha
 from .errors import ConfigError, NonPositiveData
-from .profile import ProfileParams, cubic_residual, eval_profile
+from .profile import ProfileParams, cubic_residual, eval_profiles
+from .profile import eval_profile  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 
 EXPERIMENTS = ("estimates", "diam-scaling", "gh-converge", "ricci-audit", "profile-table")
 
@@ -94,7 +95,7 @@ def _max_workers() -> int:
 
 
 def _pmap(fn, items):
-    """Map over independent work items on the capped pool, preserving order."""
+    """Map over independent work items on the capped pool, preserving order (GH seeds)."""
     workers = _max_workers()
     if workers == 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -139,23 +140,17 @@ def _exp_profile_table(cfg: ExperimentConfig):
     rows, max_cubic, max_pot = [], 0.0, 0.0
     for t in cfg.t_grid:
         params = ProfileParams(t)
-        for r in rho_values:
-            prof = eval_profile(params, float(r))
-            cres = abs(cubic_residual(params, prof.rho, prof.uprime))
-            pres = abs(
-                math.log((t + prof.uprime) * prof.uprime * prof.usecond) - 2.0 * prof.rho
-            )
-            max_cubic, max_pot = max(max_cubic, cres), max(max_pot, pres)
-            rows.append(
-                {
-                    "t": t,
-                    "rho": prof.rho,
-                    "uprime": prof.uprime,
-                    "usecond": prof.usecond,
-                    "cubic_residual": cres,
-                    "ricci_potential_residual": pres,
-                }
-            )
+        prof = eval_profiles(params, rho_values)
+        cres = np.abs(cubic_residual(params, prof.rho, prof.uprime))
+        pres = np.abs(np.log((t + prof.uprime) * prof.uprime * prof.usecond) - 2.0 * prof.rho)
+        max_cubic, max_pot = max(max_cubic, float(cres.max())), max(max_pot, float(pres.max()))
+        columns = zip(prof.rho.tolist(), prof.uprime.tolist(), prof.usecond.tolist(),
+                      cres.tolist(), pres.tolist())
+        rows += [
+            {"t": t, "rho": r, "uprime": up, "usecond": us, "cubic_residual": c,
+             "ricci_potential_residual": pr}
+            for r, up, us, c, pr in columns
+        ]
     asserts = [
         _check("cubic_residual_max", max_cubic, cfg.tol("cubic_residual"),
                max_cubic <= cfg.tol("cubic_residual")),
@@ -227,7 +222,8 @@ def _exp_ricci_audit(cfg: ExperimentConfig):
     rows, asserts = [], []
     stencil = curvature.StencilSpec(h=1e-3, order=4)
     pts = metricgeom.sample_domain(OMEGA, 64, cfg.seed, rho_depth=5.0)
-    pts = [p for p in pts if -5.0 < rho(p) < -0.1][:5]
+    r = rho(pts)
+    pts = [pts[i] for i in np.flatnonzero((-5.0 < r) & (r < -0.1))[:5]]
     for t in cfg.t_grid:
         samples = list(rng.uniform(-20.0, 0.0, size=min(cfg.n_samples, 2000)))
         pot = curvature.ricci_potential_residual(t, samples)
@@ -250,13 +246,15 @@ def _exp_ricci_audit(cfg: ExperimentConfig):
     return rows, asserts
 
 
-def _loccom_min_eigs(p: ResolvedPoint):
-    restr = forms.restrict_to_fibre(forms.OMEGA_HAT, p).m2
-    e_r1 = math.exp(rho_alpha(p, 1))
-    lower = np.linalg.eigvalsh(restr - np.eye(2))[0]
-    upper = np.linalg.eigvalsh((2.0 / e_r1) * np.eye(2) - restr)[0]
-    trace = float(restr.trace().real)
-    return float(lower), float(upper), e_r1 * trace
+def _loccom_min_eigs(pts: ResolvedPoint) -> tuple[float, float, float]:
+    """Fibre sandwich over a stack of points: min lower and upper eigenvalue, max scaled trace."""
+    restr = forms.restrict_to_fibre(forms.OMEGA_HAT, pts).m2
+    e_r1 = np.exp(rho_alpha(pts, 1))
+    eye = np.eye(2)
+    lower = np.linalg.eigvalsh(restr - eye)[:, 0]
+    upper = np.linalg.eigvalsh((2.0 / e_r1)[:, None, None] * eye - restr)[:, 0]
+    trace = np.trace(restr, axis1=1, axis2=2).real
+    return float(lower.min()), float(upper.min()), float((e_r1 * trace).max())
 
 
 _ESTIMATE_ROW_KEYS = ("t", "norm_V_rel", "sup_w_scaled", "sup_fibre_trace_scaled",
@@ -267,25 +265,22 @@ def _estimate_row(**values) -> dict:
     return {k: values.get(k) for k in _ESTIMATE_ROW_KEYS}
 
 
-def _estimates_for_t(t: float, sub) -> dict:
+def _estimates_for_t(t: float, sub: ResolvedPoint) -> dict:
     kind = forms.calabi_family(t)
-    params = ProfileParams(t)
-    worst_v, sup_w, sup_h = 0.0, 0.0, 0.0
-    c0, c1 = math.inf, 0.0
-    for p in sub:
-        r = rho(p)
-        prof = eval_profile(params, r)
-        nv = forms.vector_norm_sq(kind, forms.V, p)
-        worst_v = max(worst_v, abs(nv - prof.usecond) / prof.usecond)
-        nw = forms.vector_norm_sq(kind, forms.W, p)
-        sup_w = max(sup_w, math.exp(0.5 * r) * nw)
-        sup_h = max(sup_h, math.exp(rho_alpha(p, 1)) * forms.fibrewise_trace_H(kind, p))
-        lmin, lmax = forms.compare_forms(
-            forms.eval_form(kind, p), forms.eval_form(forms.CONIFOLD_FLAT, p)
-        )
-        c0, c1 = min(c0, lmin), max(c1, lmax * math.exp(r))
-    return {"t": t, "worst_v": worst_v, "sup_w": sup_w, "sup_h": sup_h,
-            "c0": c0, "c1": c1}
+    r = rho(sub)
+    usecond = eval_profiles(ProfileParams(t), r).usecond
+    nv = forms.vector_norm_sq(kind, forms.V, sub)
+    nw = forms.vector_norm_sq(kind, forms.W, sub)
+    trace_h = forms.fibrewise_trace_H(kind, sub)
+    lmin, lmax = forms.compare_forms(
+        forms.eval_form(kind, sub), forms.eval_form(forms.CONIFOLD_FLAT, sub)
+    )
+    return {"t": t,
+            "worst_v": float((np.abs(nv - usecond) / usecond).max()),
+            "sup_w": float((np.exp(0.5 * r) * nw).max()),
+            "sup_h": float((np.exp(rho_alpha(sub, 1)) * trace_h).max()),
+            "c0": float(lmin.min()),
+            "c1": float((lmax * np.exp(r)).max())}
 
 
 def _exp_estimates(cfg: ExperimentConfig):
@@ -293,10 +288,7 @@ def _exp_estimates(cfg: ExperimentConfig):
     pts = metricgeom.sample_domain(OMEGA, cfg.n_samples, cfg.seed)
 
     # fibre comparison sandwich + fibrewise trace of the reference form
-    lo_min, up_min, tr_max = math.inf, math.inf, 0.0
-    for p in pts:
-        lo, up, tr = _loccom_min_eigs(p)
-        lo_min, up_min, tr_max = min(lo_min, lo), min(up_min, up), max(tr_max, tr)
+    lo_min, up_min, tr_max = _loccom_min_eigs(pts)
     tol = cfg.tol("sandwich_min_eigenvalue")
     asserts.append(_check("fibre_sandwich_lower", lo_min, tol, lo_min >= tol))
     asserts.append(_check("fibre_sandwich_upper", up_min, tol, up_min >= tol))
@@ -306,13 +298,12 @@ def _exp_estimates(cfg: ExperimentConfig):
     # norm identities, vertical collapse and tangential comparison, per t
     rel_tol = cfg.tol("norm_identity_rel")
     sub = pts[: max(200, cfg.n_samples // 10)]
-    worst_hat = 0.0
-    for p in sub:
-        nv = forms.vector_norm_sq(forms.OMEGA_HAT, forms.V, p)
-        worst_hat = max(worst_hat, abs(nv - math.exp(rho(p))) / math.exp(rho(p)))
+    e_rho = np.exp(rho(sub))
+    nv = forms.vector_norm_sq(forms.OMEGA_HAT, forms.V, sub)
+    worst_hat = float((np.abs(nv - e_rho) / e_rho).max())
     asserts.append(_check("norm_V_hat_rel", worst_hat, rel_tol, worst_hat <= rel_tol))
 
-    per_t = _pmap(lambda t: _estimates_for_t(t, sub), list(cfg.t_grid))
+    per_t = [_estimates_for_t(t, sub) for t in cfg.t_grid]
     for res in per_t:
         t = res["t"]
         rows.append(_estimate_row(t=t, norm_V_rel=res["worst_v"], sup_w_scaled=res["sup_w"],

@@ -21,7 +21,6 @@ Ricci-flatness statement: the two agreeing is the point of this module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +30,8 @@ from .chart import ResolvedPoint
 from .errors import NonFinite, OnZeroSection, SingularMetric, StencilOutOfDomain
 from .forms import FormKind, HermitianForm, eval_forms
 from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it by name)
-from .profile import ProfileParams, eval_profile
+from .profile import ProfileParams, eval_profiles
+from .profile import eval_profile  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 
 
 @dataclass(frozen=True)
@@ -124,16 +124,17 @@ def ricci_form(kind: FormKind, p: ResolvedPoint, s: StencilSpec) -> HermitianFor
     return HermitianForm(base=p, m=-complex_hessian(log_det, p, s).m)
 
 
-def ricci_potential_residual(t: float, rho_samples: list[float]) -> float:
-    """max over samples of |log((t + u') u' u'') - 2 rho| (0 when Ricci-flat)."""
+def ricci_potential_residual(t: float, rho_samples) -> float:
+    """max over samples of |log((t + u') u' u'') - 2 rho| (0 when Ricci-flat).
+
+    One ``eval_profiles`` call over the samples; ``NonFinite`` if any sample
+    is not finite, 0 for no samples.
+    """
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    worst = 0.0
-    params = ProfileParams(t)
-    for r in rho_samples:
-        if not math.isfinite(r):
-            raise NonFinite("rho samples must be finite")
-        prof = eval_profile(params, r)
-        value = math.log((t + prof.uprime) * prof.uprime * prof.usecond) - 2.0 * prof.rho
-        worst = max(worst, abs(value))
-    return worst
+    rho = np.asarray(rho_samples, dtype=float)
+    if rho.size == 0:
+        return 0.0
+    prof = eval_profiles(ProfileParams(t), rho)
+    value = np.log((t + prof.uprime) * prof.uprime * prof.usecond) - 2.0 * prof.rho
+    return float(np.abs(value).max())

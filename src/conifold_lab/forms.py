@@ -30,6 +30,12 @@ against the connection-frame expression)
 with h = 1 + |z|^2, S = |xi|^2 and u', u'' the radial profile at
 rho = log(h S).  Its determinant is (t + u') u' u'' e^{-2 rho}, identically 1
 on the Ricci-flat family.
+
+Points may be stacked (``ResolvedPoint`` with array coordinates, one lane
+per point): ``eval_form``, ``restrict_to_fibre``, ``fibrewise_trace_H``,
+``vector_norm_sq`` and ``compare_forms`` then return one value or matrix
+per lane, and a scalar point is a batch of one.  A stack raises as soon as
+any lane would.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .chart import ResolvedPoint, nu_coords, rho
 from .errors import (
@@ -47,7 +52,7 @@ from .errors import (
     NotPositiveDefinite,
     OnZeroSection,
 )
-from .profile import ProfileParams, cone_profile, eval_profile
+from .profile import ProfileParams, cone_profile, eval_profile, eval_profiles
 
 #: Below this rho the family metrics would return denormalized entries.
 RHO_DEEP_LIMIT = -650.0
@@ -87,7 +92,10 @@ def calabi_family(t: float) -> FormKind:
 
 @dataclass(frozen=True)
 class HermitianForm:
-    """A (1,1)-form at a base point: 3x3 Hermitian matrix in frame (z, xi1, xi2)."""
+    """A (1,1)-form at a base point: 3x3 Hermitian matrix in frame (z, xi1, xi2).
+
+    At a stacked base point m has shape (..., 3, 3), one matrix per lane.
+    """
 
     base: ResolvedPoint
     m: np.ndarray
@@ -139,15 +147,18 @@ def _family_matrix(m: np.ndarray, z, xi1, xi2, t: float, uprime, usecond) -> Non
     h = 1.0 + abs(z) ** 2
     s = abs(xi1) ** 2 + abs(xi2) ** 2
     zb = z.conjugate()
+    # (u'' - u') / s and xibar_a xi_b / s are O(1) on the fibre; s^2 would
+    # underflow for rho below about -355
+    d = (usecond - uprime) / s
     m[..., 0, 0] = (t + uprime + usecond * abs(z) ** 2) / h**2
     m[..., 0, 1] = usecond * zb * xi1 / (h * s)
     m[..., 0, 2] = usecond * zb * xi2 / (h * s)
     m[..., 1, 0] = m[..., 0, 1].conjugate()
     m[..., 2, 0] = m[..., 0, 2].conjugate()
-    m[..., 1, 1] = (usecond - uprime) * xi1.conjugate() * xi1 / s**2 + uprime / s
-    m[..., 1, 2] = (usecond - uprime) * xi1.conjugate() * xi2 / s**2
-    m[..., 2, 1] = (usecond - uprime) * xi2.conjugate() * xi1 / s**2
-    m[..., 2, 2] = (usecond - uprime) * xi2.conjugate() * xi2 / s**2 + uprime / s
+    m[..., 1, 1] = d * (xi1.conjugate() * xi1 / s) + uprime / s
+    m[..., 1, 2] = d * (xi1.conjugate() * xi2 / s)
+    m[..., 2, 1] = d * (xi2.conjugate() * xi1 / s)
+    m[..., 2, 2] = d * (xi2.conjugate() * xi2 / s) + uprime / s
 
 
 def _matrix(kind: FormKind, z, xi1, xi2, profile) -> np.ndarray:
@@ -176,8 +187,19 @@ def _profile_at(kind: FormKind, r: float) -> tuple[float, float]:
     return prof.uprime, prof.usecond
 
 
+def _float_or_lanes(x: np.ndarray):
+    """A float for a single point, the array for a stack."""
+    return float(x) if x.ndim == 0 else x
+
+
 def eval_form(kind: FormKind, p: ResolvedPoint) -> HermitianForm:
-    """Matrix of the form at p in the coordinate frame (z, xi1, xi2)."""
+    """Matrix of the form at p in the coordinate frame (z, xi1, xi2).
+
+    A stacked p is one ``eval_forms`` call; a single point solves its one
+    profile lane in floats.
+    """
+    if isinstance(p.z, np.ndarray):
+        return HermitianForm(base=p, m=eval_forms(kind, p.z, p.xi1, p.xi2))
     m = _matrix(kind, p.z, p.xi1, p.xi2, lambda: _profile_at(kind, rho(p)))
     return HermitianForm(base=p, m=m)
 
@@ -185,35 +207,40 @@ def eval_form(kind: FormKind, p: ResolvedPoint) -> HermitianForm:
 def eval_forms(kind: FormKind, z, xi1, xi2) -> np.ndarray:
     """Lane for lane what ``eval_form`` gives, for coordinate arrays; shape (..., 3, 3).
 
-    rho is computed on the arrays and the profile solved lane by lane, so
-    the first lane on the zero section raises ``OnZeroSection``.
+    rho is computed on the arrays and the profile is one ``eval_profiles``
+    call over all lanes.  ``OnZeroSection`` names the first lane on the zero
+    section or below ``RHO_DEEP_LIMIT``; a lane above the rho clamp gives
+    one ``RangeClampedWarning`` for the call.
     """
     z, xi1, xi2 = np.broadcast_arrays(*(np.asarray(c, dtype=complex) for c in (z, xi1, xi2)))
 
     def profile():
         r = np.asarray(rho(ResolvedPoint(z, xi1, xi2)))
-        lanes = np.reshape([_profile_at(kind, x) for x in r.ravel().tolist()], r.shape + (2,))
-        return lanes[..., 0], lanes[..., 1]
+        bad = ~np.isfinite(r) | (r < RHO_DEEP_LIMIT)
+        if bad.any():
+            raise OnZeroSection(f"{kind.tag} degenerates at rho = {r.flat[np.argmax(bad)]}")
+        prof = eval_profiles(ProfileParams(kind.t or 0.0), r)
+        return prof.uprime, prof.usecond
 
     return _matrix(kind, z, xi1, xi2, profile)
 
 
 def _fibre_jacobian(p: ResolvedPoint) -> tuple[complex, np.ndarray]:
-    """w and the Jacobian d(z, xi1, xi2)/d(nu1, nu2) of the fibre parametrization."""
-    if p.on_zero_section():
+    """w and the Jacobian d(z, xi1, xi2)/d(nu1, nu2) of the fibre parametrization.
+
+    The Jacobian has shape (..., 3, 2), one per lane of a stacked p.
+    """
+    if np.any(p.on_zero_section()):
         raise OnZeroSection("fibre restriction undefined on the zero section")
-    if p.xi1 == 0:
+    if np.any(p.xi1 == 0):
         raise InfiniteFibre("fibre coordinate w is infinite where xi1 = 0")
     w = p.xi2 / p.xi1
     n1, n2 = nu_coords(p)
-    jac = np.array(
-        [
-            [1.0 / n2, -n1 / n2**2],
-            [0.0, 1.0],
-            [0.0, w],
-        ],
-        dtype=complex,
-    )
+    jac = np.zeros(np.shape(w) + (3, 2), dtype=complex)
+    jac[..., 0, 0] = 1.0 / n2
+    jac[..., 0, 1] = -n1 / n2**2
+    jac[..., 1, 1] = 1.0
+    jac[..., 2, 1] = w
     return w, jac
 
 
@@ -225,48 +252,60 @@ def restrict_to_fibre(kind: FormKind, p: ResolvedPoint) -> FibreForm:
     """
     w, jac = _fibre_jacobian(p)
     m = eval_form(kind, p).m
-    m2 = jac.T @ m @ jac.conjugate()
+    m2 = np.swapaxes(jac, -1, -2) @ m @ jac.conjugate()
     return FibreForm(w=w, base=p, m2=m2)
 
 
-def fibrewise_trace_H(kind: FormKind, p: ResolvedPoint) -> float:
+def fibrewise_trace_H(kind: FormKind, p: ResolvedPoint):
     """Trace of the fibre restriction against the flat fibre form."""
-    return float(restrict_to_fibre(kind, p).m2.trace().real)
+    m2 = restrict_to_fibre(kind, p).m2
+    return _float_or_lanes(np.trace(m2, axis1=-2, axis2=-1).real)
 
 
 def _vector_components(v: str, p: ResolvedPoint) -> np.ndarray:
-    if p.on_zero_section():
+    if np.any(p.on_zero_section()):
         raise OnZeroSection("vector fields vanish identically on the zero section")
-    if v == V:
-        return np.array([0.0, p.xi1, p.xi2], dtype=complex)
-    if v == V1:
-        return np.array([0.0, p.xi1, 0.0], dtype=complex)
+    if v not in (V, V1, W):
+        raise ValueError(f"unknown vector field {v!r}")
+    vec = np.zeros(np.shape(p.xi1) + (3,), dtype=complex)
+    vec[..., 1] = p.xi1
+    if v != V1:
+        vec[..., 2] = p.xi2
     if v == W:
-        scale = math.exp(-0.5 * rho(p))
-        return scale * np.array([0.0, p.xi1, p.xi2], dtype=complex)
-    raise ValueError(f"unknown vector field {v!r}")
+        vec *= np.exp(-0.5 * np.asarray(rho(p)))[..., None]
+    return vec
 
 
-def vector_norm_sq(kind: FormKind, v: str, p: ResolvedPoint) -> float:
+def vector_norm_sq(kind: FormKind, v: str, p: ResolvedPoint):
     """Hermitian contraction of the form with the named vector field at p."""
     vec = _vector_components(v, p)
     m = eval_form(kind, p).m
-    return float(np.real(vec @ m @ vec.conjugate()))
+    norm = vec[..., None, :] @ m @ vec[..., :, None].conjugate()
+    return _float_or_lanes(norm[..., 0, 0].real)
 
 
-def compare_forms(a: HermitianForm, b: HermitianForm) -> tuple[float, float]:
+def _same_base(a: ResolvedPoint, b: ResolvedPoint) -> bool:
+    return a is b or all(
+        np.array_equal(x, y) for x, y in ((a.z, b.z), (a.xi1, b.xi1), (a.xi2, b.xi2))
+    )
+
+
+def compare_forms(a: HermitianForm, b: HermitianForm):
     """Extreme generalized eigenvalues (lmin, lmax) with lmin*B <= A <= lmax*B.
 
-    One generalized Hermitian eigensolve of A v = lambda B v; B must be
-    positive definite with smallest eigenvalue above 1e-13.
+    B must be positive definite with smallest eigenvalue above 1e-13.  The
+    pencil is whitened by the Cholesky factor B = L L^H, and lmin, lmax are
+    the extreme eigenvalues of L^{-1} A L^{-H}; on stacked forms one
+    stacked factorization and eigensolve give one pair per lane.
     """
-    if (a.base.z, a.base.xi1, a.base.xi2) != (b.base.z, b.base.xi1, b.base.xi2):
+    if not _same_base(a.base, b.base):
         raise BaseMismatch("forms evaluated at different base points")
-    evb = np.linalg.eigvalsh(b.m)
-    if evb[0] <= _MIN_REF_EIGENVALUE:
-        raise NotPositiveDefinite(f"reference form eigenvalue {evb[0]} too small")
-    ev = scipy.linalg.eigh(a.m, b.m, eigvals_only=True)
-    return float(ev[0]), float(ev[-1])
+    evb = np.linalg.eigvalsh(b.m)[..., 0]
+    if np.any(evb <= _MIN_REF_EIGENVALUE):
+        raise NotPositiveDefinite(f"reference form eigenvalue {np.min(evb)} too small")
+    inv = np.linalg.inv(np.linalg.cholesky(b.m))
+    ev = np.linalg.eigvalsh(inv @ a.m @ np.swapaxes(inv, -1, -2).conjugate())
+    return _float_or_lanes(ev[..., 0]), _float_or_lanes(ev[..., -1])
 
 
 def rotate_fibre(p: ResolvedPoint, unitary: np.ndarray) -> ResolvedPoint:

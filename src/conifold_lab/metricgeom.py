@@ -44,7 +44,8 @@ import scipy.sparse.csgraph
 import scipy.spatial
 import scipy.stats.qmc
 
-from .chart import OMEGA, DomainSpec, ResolvedPoint, contract, rho, second_chart
+from .chart import OMEGA, DomainSpec, ResolvedPoint, contract, rho
+from .chart import second_chart  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 from .errors import DegenerateMetric, OnZeroSection
 from .forms import CONE_METRIC, FormKind, calabi_family, eval_forms
 from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it by name)
@@ -65,9 +66,9 @@ _CHUNK = 256
 
 @dataclass(frozen=True)
 class MetricCloud:
-    """Sampled points with the symmetric matrix of graph shortest-path distances."""
+    """Sampled points (one stacked point) with the matrix of graph shortest-path distances."""
 
-    points: list[ResolvedPoint]
+    points: ResolvedPoint
     kind: FormKind
     dist: np.ndarray
     graph_k: int
@@ -156,16 +157,29 @@ def zero_section_diameter(t: float) -> float:
     return math.sqrt(t) * fs_diameter()
 
 
-def sample_domain(
-    d: DomainSpec, n: int, seed: int, rho_depth: float = RHO_DEPTH
-) -> list[ResolvedPoint]:
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def sample_domain(d: DomainSpec, n: int, seed: int, rho_depth: float = RHO_DEPTH) -> ResolvedPoint:
     """Stratified quasi-random sample of n points of the domain (off P0).
 
-    Roughly 80% fill the rho slab uniformly, 10% hug the boundary and 10%
-    sit on the depth floor, each with base and fibre directions uniform on
-    their spheres.  Points landing at |z| > 1 are re-expressed through the
-    chart transition, so every returned point lives in the canonical chart
-    with |z| <= 1 (well away from the coordinate singularity at z = inf).
+    Returns one stacked ``ResolvedPoint`` whose coordinates are (n,) complex
+    arrays.  Roughly 80% fill the rho slab uniformly, 10% hug the boundary
+    and 10% sit on the depth floor, each with base and fibre directions
+    uniform on their spheres.  Points landing at |z| > 1 are re-expressed
+    through the chart transition, so every returned point lives in the
+    canonical chart with |z| <= 1 (well away from the coordinate singularity
+    at z = inf).
+
+    The points are built in real arithmetic that equals, bit for bit, the
+    same construction one point at a time in Python complex numbers: the
+    fibre scale takes ``math.exp`` (``np.exp`` differs in the last bit on a
+    few percent of inputs), and the chart transition spells out CPython's
+    complex product and Smith quotient (numpy's complex product fuses into
+    FMA and its quotient multiplies by a reciprocal).
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -185,29 +199,28 @@ def sample_domain(
     rhos[n_bulk : n_bulk + n_ring] = hi - 1e-6
     rhos[n_bulk + n_ring :] = lo
 
-    pts: list[ResolvedPoint] = []
-    for i in range(n):
-        r = float(rhos[i])
-        zmod = math.sqrt((1.0 - u[i, 1]) / u[i, 1])
-        z = zmod * complex(math.cos(2.0 * math.pi * u[i, 2]), math.sin(2.0 * math.pi * u[i, 2]))
-        a = math.sqrt(u[i, 3]) * complex(
-            math.cos(2.0 * math.pi * u[i, 4]), math.sin(2.0 * math.pi * u[i, 4])
-        )
-        b = math.sqrt(1.0 - u[i, 3]) * complex(
-            math.cos(2.0 * math.pi * u[i, 5]), math.sin(2.0 * math.pi * u[i, 5])
-        )
-        scale = math.exp(0.5 * r) / math.sqrt(1.0 + zmod * zmod)
-        p = ResolvedPoint(z=z, xi1=scale * a, xi2=scale * b)
-        if zmod > 1.0:
-            p = second_chart(p)
-        pts.append(p)
-    return pts
+    zmod = np.sqrt((1.0 - u[:, 1]) / u[:, 1])
+    angle = 2.0 * math.pi * u[:, [2, 4, 5]].T
+    cos, sin = np.cos(angle), np.sin(angle)
+    scale = np.fromiter(map(math.exp, (0.5 * rhos).tolist()), float, n)
+    scale /= np.sqrt(1.0 + zmod * zmod)
+    a, b = np.sqrt(u[:, 3]), np.sqrt(1.0 - u[:, 3])
+    z_re, z_im = zmod * cos[0], zmod * sin[0]
+    xi = [scale * (a * cos[1]), scale * (a * sin[1]), scale * (b * cos[2]), scale * (b * sin[2])]
 
-
-def _coords(points: list[ResolvedPoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coordinate arrays (z, xi1, xi2) of a list of points."""
-    return tuple(np.array([getattr(p, c) for p in points], dtype=complex)
-                 for c in ("z", "xi1", "xi2"))
+    # second chart (1/z, z xi1, z xi2) where |z| > 1
+    far = zmod > 1.0
+    re, im = z_re[far], z_im[far]
+    for k in (0, 2):
+        x_re, x_im = xi[k][far], xi[k + 1][far]
+        xi[k][far], xi[k + 1][far] = re * x_re - im * x_im, re * x_im + im * x_re
+    wide = np.abs(re) >= np.abs(im)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(wide, im / re, re / im)
+    denom = np.where(wide, re + im * ratio, re * ratio + im)
+    z_re[far] = np.where(wide, 1.0, ratio) / denom
+    z_im[far] = np.where(wide, -ratio, -1.0) / denom
+    return ResolvedPoint(_complex(z_re, z_im), _complex(*xi[:2]), _complex(*xi[2:]))
 
 
 def _nearest_outside(comp: np.ndarray, rows: np.ndarray, dd: np.ndarray, idx: np.ndarray):
@@ -264,10 +277,10 @@ def _emst(tree: scipy.spatial.cKDTree, dd: np.ndarray, idx: np.ndarray) -> np.nd
     return mst
 
 
-def _graph_edges(points: list[ResolvedPoint], graph_k: int) -> np.ndarray:
+def _graph_edges(points: ResolvedPoint, graph_k: int) -> np.ndarray:
     """Sorted undirected edges (i < j): symmetrized kNN in the C^4 embedding plus its EMST."""
-    emb = np.stack(contract(ResolvedPoint(*_coords(points))).y, axis=1).view(float)
-    n = len(points)
+    emb = np.stack(contract(points).y, axis=1).view(float)
+    n = len(emb)
     k = min(graph_k + 1, n)
     tree = scipy.spatial.cKDTree(emb)
     dd, idx = (a.reshape(n, k) for a in tree.query(emb, k=k))
@@ -277,9 +290,9 @@ def _graph_edges(points: list[ResolvedPoint], graph_k: int) -> np.ndarray:
     return np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
 
 
-def _edge_weights(kind: FormKind, points: list[ResolvedPoint], edges: np.ndarray) -> np.ndarray:
+def _edge_weights(kind: FormKind, points: ResolvedPoint, edges: np.ndarray) -> np.ndarray:
     """Length of each edge's coordinate segment under the metric at its midpoint."""
-    a, b = np.stack(_coords(points), axis=1)[edges.T]
+    a, b = np.stack([points.z, points.xi1, points.xi2], axis=1)[edges.T]
     v = b - a
     try:
         m = eval_forms(kind, *(a + 0.5 * v).T)

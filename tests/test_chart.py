@@ -230,3 +230,46 @@ class TestSecondChart:
     def test_undefined_at_origin(self):
         with pytest.raises(ValueError):
             second_chart(ResolvedPoint(0, 1, 1))
+
+
+class TestStackedPoints:
+    """Chart helpers act lane by lane on a point with array coordinates."""
+
+    def stacked(self):
+        z = np.array([0.5 + 0.2j, 2.0, -1j, 0.3])
+        xi1 = np.array([0.0, 1.0, 0.0, 0.2 - 0.1j])
+        xi2 = np.array([0.0, 0.5j, 0.7, 0.0])
+        return ResolvedPoint(z, xi1, xi2)
+
+    def test_on_zero_section_lanewise(self):
+        p = self.stacked()
+        np.testing.assert_array_equal(p.on_zero_section(), [True, False, False, False])
+        assert ResolvedPoint(1, 0, 0).on_zero_section() is True
+        assert ResolvedPoint(1, 0, 0.5).on_zero_section() is False
+
+    def test_indexing_gives_lanes(self):
+        p = self.stacked()
+        assert p[1] == ResolvedPoint(p.z[1], p.xi1[1], p.xi2[1])
+        sub = p[1:3]
+        np.testing.assert_array_equal(sub.xi2, [0.5j, 0.7])
+
+    def test_rho_alpha_lanewise(self):
+        p = self.stacked()
+        for alpha in (1, 2):
+            got = rho_alpha(p, alpha)
+            want = [rho_alpha(p[i], alpha) for i in range(4)]
+            np.testing.assert_allclose(got, want, rtol=1e-15)
+        assert rho_alpha(p, 1)[0] == float("-inf") and rho_alpha(p, 2)[3] == float("-inf")
+
+    def test_second_chart_lanewise(self):
+        p = self.stacked()
+        q = second_chart(p)
+        for i in range(4):
+            want = second_chart(p[i])
+            for c in ("z", "xi1", "xi2"):
+                assert getattr(q, c)[i] == pytest.approx(getattr(want, c), rel=1e-15)
+
+    def test_second_chart_rejects_any_zero_base(self):
+        p = self.stacked()
+        with pytest.raises(ValueError):
+            second_chart(ResolvedPoint(np.array([1.0, 0.0]), p.xi1[:2], p.xi2[:2]))

@@ -21,6 +21,7 @@ from conifold_lab.forms import (
     eval_forms,
     restrict_to_fibre,
 )
+from conifold_lab.profile import ProfileParams, eval_profile
 
 RNG = np.random.default_rng(99)
 
@@ -140,6 +141,22 @@ class TestRicciPotential:
 
     def test_empty_is_zero(self):
         assert ricci_potential_residual(0.5, []) == 0.0
+
+    def test_nonfinite_sample(self):
+        for bad in (float("nan"), float("-inf")):
+            with pytest.raises(NonFinite):
+                ricci_potential_residual(0.5, [-1.0, bad])
+
+    def test_matches_per_sample_residual(self):
+        # one batched profile solve against the largest residual taken sample by sample
+        samples = np.random.default_rng(5).uniform(-300.0, 0.0, 300)
+        for t in (0.0, 1e-4, 0.5):
+            want = 0.0
+            for r in samples.tolist():
+                prof = eval_profile(ProfileParams(t), r)
+                value = math.log((t + prof.uprime) * prof.uprime * prof.usecond) - 2.0 * r
+                want = max(want, abs(value))
+            assert ricci_potential_residual(t, samples) == pytest.approx(want, abs=2e-15)
 
 
 class TestFibreFlatness:

@@ -1,9 +1,11 @@
 """Form evaluation: matrices, fibre restrictions, traces, norms, comparisons."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conifold_lab.chart import ResolvedPoint, rho, rho_alpha
 from conifold_lab.curvature import StencilSpec, complex_hessian
@@ -12,40 +14,44 @@ from conifold_lab.errors import (
     InfiniteFibre,
     NotPositiveDefinite,
     OnZeroSection,
+    RangeClampedWarning,
 )
 from conifold_lab.forms import (
+    RHO_DEEP_LIMIT,
     CONE_METRIC,
     CONIFOLD_FLAT,
     FUBINI_STUDY,
     OMEGA_HAT,
     TAU,
     FormKind,
+    HermitianForm,
     V,
     V1,
     W,
     calabi_family,
     compare_forms,
     eval_form,
+    eval_forms,
     fibrewise_trace_H,
     restrict_to_fibre,
     rotate_fibre,
     vector_norm_sq,
 )
-from conifold_lab.profile import ProfileParams, eval_profile
+from conifold_lab.profile import RHO_CLAMP, ProfileParams, eval_profile
 
 RNG = np.random.default_rng(4242)
 
 
-def random_omega_point(rho_lo=-15.0, rho_hi=-1e-3):
+def random_omega_point(rho_lo=-15.0, rho_hi=-1e-3, rng=RNG):
     """A random point of Omega with nonzero xi1 (finite fibre coordinate)."""
-    r = float(RNG.uniform(rho_lo, rho_hi))
-    z = complex(*RNG.normal(size=2))
-    phase = RNG.normal(size=4)
+    r = float(rng.uniform(rho_lo, rho_hi))
+    z = complex(*rng.normal(size=2))
+    phase = rng.normal(size=4)
     a = complex(phase[0], phase[1])
     b = complex(phase[2], phase[3])
     nrm = math.hypot(abs(a), abs(b))
     if abs(a) < 1e-3 * nrm:
-        return random_omega_point(rho_lo, rho_hi)
+        return random_omega_point(rho_lo, rho_hi, rng)
     scale = math.exp(0.5 * r) / math.sqrt(1 + abs(z) ** 2) / nrm
     return ResolvedPoint(z, scale * a, scale * b)
 
@@ -57,6 +63,34 @@ def random_unitary_2():
 
 
 ALL_KINDS = [FUBINI_STUDY, OMEGA_HAT, TAU, CONIFOLD_FLAT, CONE_METRIC, calabi_family(0.37)]
+
+
+def stack(points):
+    """One stacked point from a list of points."""
+    return ResolvedPoint(*(np.array([getattr(p, c) for p in points], dtype=complex)
+                           for c in ("z", "xi1", "xi2")))
+
+
+def point_at_rho(r, z=0.3 - 0.2j, w=0.5 + 0.25j):
+    """A point with log fibre radius r on the fibre xi2 = w xi1 over z."""
+    xi1 = math.exp(0.5 * r) / math.sqrt((1 + abs(z) ** 2) * (1 + abs(w) ** 2))
+    return ResolvedPoint(z, xi1, w * xi1)
+
+
+def assert_lanes_close(got, want, rel):
+    """Each lane within rel of the largest entry of its own per-point value."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    axes = tuple(range(1, want.ndim))
+    scale = np.abs(want).max(axis=axes, keepdims=True) if axes else np.abs(want)
+    assert (np.abs(got - want) <= rel * scale).all()
+
+
+#: random points of Omega, then the domain's edges, then two points far below it
+_SHELL_RNG = np.random.default_rng(4243)
+SHELL = [random_omega_point(rng=_SHELL_RNG) for _ in range(40)] + [
+    point_at_rho(r) for r in (-20.0, -1e-6, -400.0, RHO_DEEP_LIMIT + 0.5)
+]
 
 
 class TestFormKind:
@@ -135,6 +169,104 @@ class TestEvalForm:
         deep = ResolvedPoint(0, math.exp(-400), 0)  # rho = -800 < -650
         with pytest.raises(OnZeroSection):
             eval_form(calabi_family(0.5), deep)
+
+
+class TestEvalForms:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: f"{kind.tag}-{kind.t}")
+    def test_matches_eval_form_lane_by_lane(self, kind):
+        pts = stack(SHELL)
+        got = eval_forms(kind, pts.z, pts.xi1, pts.xi2)
+        assert got.shape == (len(SHELL), 3, 3)
+        assert_lanes_close(got, [eval_form(kind, p).m for p in SHELL], 1e-14)
+        np.testing.assert_array_equal(eval_form(kind, pts).m, got)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: f"{kind.tag}-{kind.t}")
+    def test_clamped_lanes_warn_once_per_call(self, kind):
+        pts = [point_at_rho(r) for r in (-3.0, RHO_CLAMP[1] + 1.0, RHO_CLAMP[1] + 5.0)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = eval_form(kind, stack(pts)).m
+        clamps = [w for w in caught if w.category is RangeClampedWarning]
+        assert len(clamps) == (1 if kind.tag in ("CalabiFamily", "ConeMetric") else 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RangeClampedWarning)
+            want = [eval_form(kind, p).m for p in pts]
+        assert_lanes_close(got, want, 1e-14)
+
+    @pytest.mark.parametrize("kind", [CONE_METRIC, calabi_family(0.2)], ids=["cone", "family"])
+    def test_first_bad_lane_raises(self, kind):
+        deep = point_at_rho(RHO_DEEP_LIMIT - 1.0)
+        for bad in (ResolvedPoint(0.5, 0, 0), deep):
+            with pytest.raises(OnZeroSection):
+                eval_form(kind, bad)
+            pts = stack([SHELL[0], bad, SHELL[1]])
+            with pytest.raises(OnZeroSection):
+                eval_forms(kind, pts.z, pts.xi1, pts.xi2)
+
+
+class TestStackedHelpers:
+    """Every helper on a stack equals the helper point by point."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: f"{kind.tag}-{kind.t}")
+    def test_restriction_and_trace(self, kind):
+        pts = stack(SHELL)
+        got = restrict_to_fibre(kind, pts)
+        assert_lanes_close(got.m2, [restrict_to_fibre(kind, p).m2 for p in SHELL], 1e-13)
+        np.testing.assert_allclose(got.w, [restrict_to_fibre(kind, p).w for p in SHELL],
+                                   rtol=1e-15)
+        assert_lanes_close(fibrewise_trace_H(kind, pts),
+                           [fibrewise_trace_H(kind, p) for p in SHELL], 1e-13)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: f"{kind.tag}-{kind.t}")
+    @pytest.mark.parametrize("v", [V, V1, W])
+    def test_vector_norms(self, kind, v):
+        pts = stack(SHELL)
+        assert_lanes_close(vector_norm_sq(kind, v, pts),
+                           [vector_norm_sq(kind, v, p) for p in SHELL], 1e-13)
+
+    @pytest.mark.parametrize("kind", [OMEGA_HAT, CONE_METRIC, calabi_family(1.0),
+                                      calabi_family(0.01)], ids=lambda k: f"{k.tag}-{k.t}")
+    def test_compare_forms(self, kind):
+        # a Hermitian pencil fixes each eigenvalue only to a fraction of the
+        # largest one (Weyl), so each lane's pair is compared at that scale
+        shell = SHELL[:-2]  # the two deepest have no positive definite reference
+        pts = stack(shell)
+        lmin, lmax = compare_forms(eval_form(kind, pts), eval_form(CONIFOLD_FLAT, pts))
+        pairs = [compare_forms(eval_form(kind, p), eval_form(CONIFOLD_FLAT, p)) for p in shell]
+        assert_lanes_close(np.stack([lmin, lmax], axis=-1), pairs, 1e-13)
+
+    def test_scalar_results_are_floats(self):
+        p = SHELL[0]
+        assert type(fibrewise_trace_H(OMEGA_HAT, p)) is float
+        assert type(vector_norm_sq(OMEGA_HAT, W, p)) is float
+        pair = compare_forms(eval_form(OMEGA_HAT, p), eval_form(CONIFOLD_FLAT, p))
+        assert [type(x) for x in pair] == [float, float]
+
+    def test_any_bad_lane_raises(self):
+        good = SHELL[:3]
+        for bad, error in ((ResolvedPoint(1, 0, 0), OnZeroSection),
+                           (ResolvedPoint(1, 0, 0.5), InfiniteFibre)):
+            pts = stack(good[:1] + [bad] + good[1:])
+            with pytest.raises(error):
+                restrict_to_fibre(TAU, pts)
+            with pytest.raises(error):
+                fibrewise_trace_H(OMEGA_HAT, pts)
+        pts = stack(good[:1] + [ResolvedPoint(1, 0, 0)] + good[1:])
+        for v in (V, V1, W):
+            with pytest.raises(OnZeroSection):
+                vector_norm_sq(OMEGA_HAT, v, pts)
+        pts = stack(good)
+        with pytest.raises(NotPositiveDefinite):
+            compare_forms(eval_form(OMEGA_HAT, pts), eval_form(TAU, pts))
+        other = stack(good[:2] + SHELL[3:4])
+        with pytest.raises(BaseMismatch):
+            compare_forms(eval_form(OMEGA_HAT, pts), eval_form(OMEGA_HAT, other))
+        # one degenerate reference lane among positive definite ones
+        flat = eval_form(CONIFOLD_FLAT, pts)
+        m = flat.m.copy()
+        m[1] = eval_form(TAU, good[1]).m
+        with pytest.raises(NotPositiveDefinite):
+            compare_forms(eval_form(OMEGA_HAT, pts), HermitianForm(base=pts, m=m))
 
 
 class TestRestriction:
@@ -290,6 +422,17 @@ class TestCompareForms:
         b = eval_form(OMEGA_HAT, random_omega_point())
         with pytest.raises(BaseMismatch):
             compare_forms(a, b)
+
+    def test_matches_generalized_eigensolve(self):
+        # oracle: LAPACK's generalized Hermitian eigensolver on the pencil (A, B),
+        # compared at the scale of the largest eigenvalue (see TestStackedHelpers)
+        for kind in (OMEGA_HAT, CONE_METRIC, calabi_family(1.0), calabi_family(0.01)):
+            for p in SHELL[:-2]:
+                a, b = eval_form(kind, p), eval_form(CONIFOLD_FLAT, p)
+                ev = scipy.linalg.eigh(a.m, b.m, eigvals_only=True)
+                lmin, lmax = compare_forms(a, b)
+                assert abs(lmin - ev[0]) <= 1e-14 * ev[-1]
+                assert lmax == pytest.approx(ev[-1], rel=1e-14)
 
     def test_degenerate_reference_rejected(self):
         p = random_omega_point()

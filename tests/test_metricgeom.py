@@ -9,8 +9,9 @@ import scipy.integrate
 import scipy.sparse.csgraph
 import scipy.spatial
 import scipy.spatial.distance
+import scipy.stats.qmc
 
-from conifold_lab.chart import OMEGA, ResolvedPoint, contract, omega_r, rho
+from conifold_lab.chart import OMEGA, ResolvedPoint, contract, omega_r, rho, second_chart
 from conifold_lab.errors import DegenerateMetric, OnZeroSection
 from conifold_lab.forms import (
     CONE_METRIC,
@@ -93,9 +94,53 @@ def zero_section_area_quadrature(t, rho_floor=-300.0):
     return 2.0 * 4.0 * math.pi * val
 
 
+def stack(points):
+    """One stacked point from a list of points."""
+    return ResolvedPoint(*(np.array([getattr(p, c) for p in points], dtype=complex)
+                           for c in ("z", "xi1", "xi2")))
+
+
+def lanes(points):
+    """The points of a stacked point, one at a time."""
+    return [points[i] for i in range(len(points.z))]
+
+
+def sample_domain_per_point(d, n, seed, rho_depth=20.0):
+    """Oracle for sample_domain: the same construction one point at a time in Python complexes."""
+    hi = d.rho_max()
+    lo = hi - rho_depth
+    n_ring = max(2, n // 10)
+    n_floor = max(2, n // 10)
+    n_bulk = max(0, n - n_ring - n_floor)
+    u = scipy.stats.qmc.Halton(d=6, scramble=True, seed=seed).random(n)
+    u = np.clip(u, 1e-12, 1.0 - 1e-12)
+    rhos = np.empty(n)
+    rhos[:n_bulk] = lo + (hi - lo) * u[:n_bulk, 0]
+    rhos[n_bulk : n_bulk + n_ring] = hi - 1e-6
+    rhos[n_bulk + n_ring :] = lo
+    pts = []
+    for i in range(n):
+        r = float(rhos[i])
+        zmod = math.sqrt((1.0 - u[i, 1]) / u[i, 1])
+        z = zmod * complex(math.cos(2.0 * math.pi * u[i, 2]), math.sin(2.0 * math.pi * u[i, 2]))
+        a = math.sqrt(u[i, 3]) * complex(
+            math.cos(2.0 * math.pi * u[i, 4]), math.sin(2.0 * math.pi * u[i, 4])
+        )
+        b = math.sqrt(1.0 - u[i, 3]) * complex(
+            math.cos(2.0 * math.pi * u[i, 5]), math.sin(2.0 * math.pi * u[i, 5])
+        )
+        scale = math.exp(0.5 * r) / math.sqrt(1.0 + zmod * zmod)
+        p = ResolvedPoint(z=z, xi1=scale * a, xi2=scale * b)
+        if zmod > 1.0:
+            p = second_chart(p)
+        pts.append(p)
+    return pts
+
+
 def embedding(points):
     """The points' contraction images in C^4 as rows of 8 reals, one point at a time."""
-    return np.array([[x for y in contract(p).y for x in (y.real, y.imag)] for p in points])
+    return np.array([[x for y in contract(p).y for x in (y.real, y.imag)]
+                     for p in lanes(points)])
 
 
 def dense_emst(emb):
@@ -108,7 +153,7 @@ def dense_emst(emb):
 def set_graph_edges(points, graph_k):
     """Oracle for the edge list: kNN and dense-MST pairs collected one by one in a set."""
     emb = embedding(points)
-    n = len(points)
+    n = len(emb)
     _, idx = scipy.spatial.cKDTree(emb).query(emb, k=min(graph_k + 1, n))
     pairs = {(min(i, int(j)), max(i, int(j))) for i in range(n) for j in idx[i] if j != i}
     pairs |= {(int(i), int(j)) for i, j in dense_emst(emb)}
@@ -214,20 +259,33 @@ class TestZeroSectionDiameter:
 class TestSampling:
     def test_points_in_domain(self):
         pts = sample_domain(OMEGA, 200, seed=3)
-        assert len(pts) == 200
-        for p in pts:
-            assert rho(p) < 0.0
-            assert rho(p) >= -20.0 - 1e-9
+        r = rho(pts)
+        assert r.shape == (200,)
+        assert (r < 0.0).all()
+        assert (r >= -20.0 - 1e-9).all()
 
     def test_omega_r_respected(self):
         d = omega_r(0.05)
-        for p in sample_domain(d, 100, seed=4):
-            assert rho(p) <= d.rho_max() + 1e-12
+        assert (rho(sample_domain(d, 100, seed=4)) <= d.rho_max() + 1e-12).all()
 
     def test_deterministic(self):
         a = sample_domain(OMEGA, 50, seed=11)
         b = sample_domain(OMEGA, 50, seed=11)
-        assert all(pa == pb for pa, pb in zip(a, b))
+        for c in ("z", "xi1", "xi2"):
+            np.testing.assert_array_equal(getattr(a, c), getattr(b, c))
+
+    @pytest.mark.parametrize(
+        "domain, n, seed, depth",
+        [(OMEGA, 2000, 42, 20.0), (OMEGA, 10_000, 1003, 20.0), (OMEGA, 64, 42, 5.0),
+         (omega_r(0.005), 300, 17, 20.0), (OMEGA, 1, 0, 20.0)],
+    )
+    def test_equals_per_point_construction(self, domain, n, seed, depth):
+        got = sample_domain(domain, n, seed, rho_depth=depth)
+        want = stack(sample_domain_per_point(domain, n, seed, rho_depth=depth))
+        for c in ("z", "xi1", "xi2"):
+            # bit for bit, compared as the raw doubles
+            np.testing.assert_array_equal(getattr(got, c).view(np.int64),
+                                          getattr(want, c).view(np.int64))
 
 
 class TestCloud:
@@ -237,7 +295,7 @@ class TestCloud:
         assert np.allclose(d, d.T)
         assert np.allclose(np.diag(d), 0.0)
         assert np.isfinite(d).all()
-        idx = RNG.integers(0, len(c.points), size=(200, 3))
+        idx = RNG.integers(0, len(c.points.z), size=(200, 3))
         for i, j, k in idx:
             assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
@@ -254,9 +312,9 @@ class TestCloud:
         for s in np.linspace(0.2, 1.0, 12):
             pts.append(ResolvedPoint(base.z, s * base.xi1, s * base.xi2))
         # embed them into a sampled cloud by hand: weight pairs directly
-        edges = _graph_edges(pts, graph_k=4)
+        edges = _graph_edges(stack(pts), graph_k=4)
         graph = _symmetric_graph(len(pts), edges)
-        dist = _all_pairs(graph(_edge_weights(CONIFOLD_FLAT, pts, edges)))
+        dist = _all_pairs(graph(_edge_weights(CONIFOLD_FLAT, stack(pts), edges)))
         radii = [math.sqrt(sum(abs(v) ** 2 for v in contract(p).y)) for p in pts]
         for i in range(len(pts)):
             for j in range(len(pts)):
@@ -265,7 +323,7 @@ class TestCloud:
 
     def test_single_point_cloud_diameter(self):
         c = MetricCloud(
-            points=[ResolvedPoint(0, 0.5, 0)],
+            points=stack([ResolvedPoint(0, 0.5, 0)]),
             kind=CONIFOLD_FLAT,
             dist=np.zeros((1, 1)),
             graph_k=4,
@@ -327,7 +385,7 @@ class TestGraph:
 
     def test_zero_section_midpoint_raises(self):
         xi = (0.3 + 0.1j, -0.2j)
-        pts = [ResolvedPoint(0.2, *xi), ResolvedPoint(0.5j, -xi[0], -xi[1])]
+        pts = stack([ResolvedPoint(0.2, *xi), ResolvedPoint(0.5j, -xi[0], -xi[1])])
         edges = _graph_edges(pts, graph_k=4)
         np.testing.assert_array_equal(edges, [[0, 1]])
         for kind in (calabi_family(0.5), CONE_METRIC):
@@ -396,7 +454,7 @@ class TestGH:
         from conifold_lab.forms import CONE_METRIC
 
         pts = sample_domain(OMEGA, 700, seed=23)
-        floor = [i for i, p in enumerate(pts) if rho(p) < -19.9]
+        floor = np.flatnonzero(rho(pts) < -19.9).tolist()
         assert len(floor) >= 2
 
         def base_angle(i, j):
@@ -412,7 +470,7 @@ class TestGH:
         assert base_angle(i, j) > 1.0  # genuinely far apart on the base
 
         edges = _graph_edges(pts, graph_k=10)
-        graph = _symmetric_graph(len(pts), edges)
+        graph = _symmetric_graph(len(pts.z), edges)
         t = 1.0
         d_t = _all_pairs(graph(_edge_weights(calabi_family(t), pts, edges)))
         d_0 = _all_pairs(graph(_edge_weights(CONE_METRIC, pts, edges)))

@@ -9,11 +9,14 @@ import pytest
 
 from conifold_lab.errors import EmptySamples, NonFinite, RangeClampedWarning
 from conifold_lab.profile import (
+    RHO_CLAMP,
     ProfileParams,
     _solve_q,
+    _solve_q_lanes,
     cone_profile,
     cubic_residual,
     eval_profile,
+    eval_profiles,
     kahler_criterion,
     solve_uprime,
 )
@@ -35,6 +38,15 @@ def bisect_root(t, rho, lo=0.0, hi=None, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def exact_root_pairs():
+    """The (t, rho) pairs of the exact-root checks: a grid of extremes plus 4,000 seeded draws."""
+    rng = np.random.default_rng(2024)
+    pairs = [(t, r) for t in (1e-6, 1e-3, 1.0) for r in (-700.0, -40.0, 0.0, 300.0)]
+    for _ in range(4000):
+        pairs.append((float(10.0 ** rng.uniform(-6.0, 0.0)), float(rng.uniform(-700.0, 300.0))))
+    return pairs
 
 
 def root_offset_ulps(t, erho, q):
@@ -135,6 +147,64 @@ class TestSolveUprime:
         assert prof.uprime == solve_uprime(ProfileParams(0.5), -700.0)
 
 
+class TestLanes:
+    def test_exact_root_within_two_ulps(self):
+        # the pairs of TestSolveUprime.test_exact_root_within_two_ulps, all in one masked solve
+        t, r = np.array(exact_root_pairs()).T
+        erho = np.array([math.exp(x) for x in r.tolist()])
+        q = _solve_q_lanes(t, erho)
+        for tt, e, qq in zip(t.tolist(), erho.tolist(), q.tolist()):
+            off = root_offset_ulps(tt, e, qq)
+            assert abs(off) <= 2.0, (tt, e, off)
+
+    def test_lanes_do_not_interact(self):
+        # lanes that stop after different step counts give what each gives alone
+        erho = np.exp(np.linspace(-700.0, 300.0, 501))
+        for t in (1e-6, 0.01, 1.0):
+            alone = np.concatenate([_solve_q_lanes(t, erho[i : i + 1]) for i in range(len(erho))])
+            np.testing.assert_array_equal(_solve_q_lanes(t, erho), alone)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-6, 0.01, 0.5, 1.0])
+    def test_matches_scalar_eval_profile(self, t):
+        rng = np.random.default_rng(78)
+        rho = np.concatenate([rng.uniform(-700.0, 300.0, 300), rng.uniform(-30.0, 5.0, 300),
+                              [RHO_CLAMP[0], 0.0, RHO_CLAMP[1]]])
+        got = eval_profiles(ProfileParams(t), rho.reshape(3, -1))
+        assert got.uprime.shape == got.usecond.shape == got.rho.shape == (3, 201)
+        for r, up, us in zip(rho.tolist(), got.uprime.ravel(), got.usecond.ravel()):
+            want = eval_profile(ProfileParams(t), r)
+            assert up == pytest.approx(want.uprime, rel=1e-14, abs=0.0)
+            assert us == pytest.approx(want.usecond, rel=1e-14, abs=0.0)
+
+    def test_clamp_warns_once_per_call(self):
+        rho = np.array([-800.0, -750.0, -1.0, 310.0, 400.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = eval_profiles(ProfileParams(0.5), rho)
+        assert [w.category for w in caught] == [RangeClampedWarning]
+        np.testing.assert_array_equal(got.rho, [-700.0, -700.0, -1.0, 300.0, 300.0])
+        assert got.uprime[0] == pytest.approx(solve_uprime(ProfileParams(0.5), -700.0), rel=1e-14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eval_profiles(ProfileParams(0.5), np.array(RHO_CLAMP))
+
+    @pytest.mark.parametrize("bad", [float("-inf"), float("inf"), float("nan")])
+    def test_nonfinite_lane_rejected(self, bad):
+        for t in (0.0, 0.5):
+            with pytest.raises(NonFinite):
+                eval_profiles(ProfileParams(t), np.array([-1.0, bad, 0.0]))
+
+    def test_cubic_residual_on_lanes(self):
+        params = ProfileParams(0.3)
+        rho = np.random.default_rng(79).uniform(-30.0, 5.0, 50)
+        prof = eval_profiles(params, rho)
+        got = cubic_residual(params, prof.rho, prof.uprime)
+        want = [cubic_residual(params, r, up) for r, up in zip(rho.tolist(), prof.uprime.tolist())]
+        # the cubic's terms are of size 3 e^{2 rho}; np.exp and math.exp differ by an ulp
+        scale = np.maximum(1.0, 3.0 * np.exp(2.0 * rho))
+        assert (np.abs(got - np.array(want)) <= 1e-15 * scale).all()
+
+
 class TestEvalProfile:
     def test_cone_pair_at_origin(self):
         prof = eval_profile(ProfileParams(0.0), 0.0)
@@ -225,6 +295,20 @@ class TestKahlerCriterion:
     def test_empty(self):
         with pytest.raises(EmptySamples):
             kahler_criterion(ProfileParams(0.5), [])
+        with pytest.raises(EmptySamples):
+            kahler_criterion(ProfileParams(0.5), np.array([]))
+
+    def test_minima_match_per_sample(self):
+        rho = np.random.default_rng(80).uniform(-40.0, 3.0, 200)
+        for t in (0.0, 0.2):
+            rep = kahler_criterion(ProfileParams(t), rho)
+            evals = [eval_profile(ProfileParams(t), r) for r in rho.tolist()]
+            assert rep.min_uprime == pytest.approx(min(e.uprime for e in evals), rel=1e-14)
+            assert rep.min_usecond == pytest.approx(min(e.usecond for e in evals), rel=1e-14)
+
+    def test_nonfinite_sample(self):
+        with pytest.raises(NonFinite):
+            kahler_criterion(ProfileParams(0.5), [-1.0, float("nan")])
 
 
 class TestParams:

@@ -142,7 +142,7 @@ def _exp_profile_table(cfg: ExperimentConfig):
         params = ProfileParams(t)
         prof = eval_profiles(params, rho_values)
         cres = np.abs(cubic_residual(params, prof.rho, prof.uprime))
-        pres = np.abs(np.log((t + prof.uprime) * prof.uprime * prof.usecond) - 2.0 * prof.rho)
+        pres = np.abs(curvature.potential_residuals(t, prof))
         max_cubic, max_pot = max(max_cubic, float(cres.max())), max(max_pot, float(pres.max()))
         columns = zip(prof.rho.tolist(), prof.uprime.tolist(), prof.usecond.tolist(),
                       cres.tolist(), pres.tolist())

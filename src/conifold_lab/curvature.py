@@ -30,7 +30,7 @@ from .chart import ResolvedPoint
 from .errors import NonFinite, OnZeroSection, SingularMetric, StencilOutOfDomain
 from .forms import FormKind, HermitianForm, eval_forms
 from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it by name)
-from .profile import ProfileParams, eval_profiles
+from .profile import ProfileEval, ProfileParams, eval_profiles
 from .profile import eval_profile  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 
 
@@ -124,8 +124,20 @@ def ricci_form(kind: FormKind, p: ResolvedPoint, s: StencilSpec) -> HermitianFor
     return HermitianForm(base=p, m=-complex_hessian(log_det, p, s).m)
 
 
+def potential_residuals(t: float, prof: ProfileEval) -> np.ndarray:
+    """Per-sample log((t + u') u' u'') - 2 rho of a profile evaluation (0 when Ricci-flat).
+
+    Evaluated as log((t + u') (u' e^{-rho}) (u'' e^{-rho})).  The bare
+    product (t + u') u' u'' is e^{2 rho} and underflows below rho ~ -354;
+    the scaled one stays near 1 across the whole rho clamp, and no large
+    2 rho is subtracted, so the residual keeps its few-ulp resolution.
+    """
+    scale = np.exp(-prof.rho)
+    return np.log((t + prof.uprime) * (prof.uprime * scale) * (prof.usecond * scale))
+
+
 def ricci_potential_residual(t: float, rho_samples) -> float:
-    """max over samples of |log((t + u') u' u'') - 2 rho| (0 when Ricci-flat).
+    """max over samples of |``potential_residuals``| (0 when Ricci-flat).
 
     One ``eval_profiles`` call over the samples; ``NonFinite`` if any sample
     is not finite, 0 for no samples.
@@ -136,5 +148,4 @@ def ricci_potential_residual(t: float, rho_samples) -> float:
     if rho.size == 0:
         return 0.0
     prof = eval_profiles(ProfileParams(t), rho)
-    value = np.log((t + prof.uprime) * prof.uprime * prof.usecond) - 2.0 * prof.rho
-    return float(np.abs(value).max())
+    return float(np.abs(potential_residuals(t, prof)).max())

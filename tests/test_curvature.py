@@ -154,9 +154,19 @@ class TestRicciPotential:
             want = 0.0
             for r in samples.tolist():
                 prof = eval_profile(ProfileParams(t), r)
-                value = math.log((t + prof.uprime) * prof.uprime * prof.usecond) - 2.0 * r
+                s = math.exp(-r)
+                value = math.log((t + prof.uprime) * (prof.uprime * s) * (prof.usecond * s))
                 want = max(want, abs(value))
             assert ricci_potential_residual(t, samples) == pytest.approx(want, abs=2e-15)
+
+    def test_deep_rho_does_not_underflow(self):
+        # (t + u') u' u'' = e^{2 rho} underflows below rho ~ -354; the residual
+        # must stay at rounding level, without a RuntimeWarning, down to the clamp
+        samples = np.linspace(-700.0, -300.0, 401)
+        for t in (1.0, 0.1, 1e-4):
+            assert ricci_potential_residual(t, samples) <= 1e-15
+        # the cone profile's e^{2 rho / 3} carries the rounding of its large exponent
+        assert ricci_potential_residual(0.0, samples) <= 1e-13
 
 
 class TestFibreFlatness:

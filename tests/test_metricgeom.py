@@ -11,6 +11,7 @@ import scipy.spatial
 import scipy.spatial.distance
 import scipy.stats.qmc
 
+from conifold_lab import metricgeom
 from conifold_lab.chart import OMEGA, ResolvedPoint, contract, omega_r, rho, second_chart
 from conifold_lab.errors import DegenerateMetric, OnZeroSection
 from conifold_lab.forms import (
@@ -325,7 +326,7 @@ class TestCloud:
         c = MetricCloud(
             points=stack([ResolvedPoint(0, 0.5, 0)]),
             kind=CONIFOLD_FLAT,
-            dist=np.zeros((1, 1)),
+            graph=_symmetric_graph(1, np.empty((0, 2), dtype=np.intp))(np.empty(0)),
             graph_k=4,
             seed=0,
         )
@@ -348,6 +349,51 @@ class TestCloud:
             c = build_cloud(OMEGA, calabi_family(t), n=250, graph_k=8, seed=9)
             diams.append(cloud_diameter(c))
         assert max(diams) <= 2.0 * min(diams)
+
+
+def _cloud_diameter_cases():
+    domains = [("omega", OMEGA), ("delta0.05", omega_r(0.05)), ("delta0.005", omega_r(0.005))]
+    cases = [(name, d, n, k) for name, d in domains for n in (10, 120, 500) for k in (4, 12)]
+    # the full n=2000 matrix costs ~1 s per kind; keep the GH default and the deep, sparse end
+    cases += [("omega", OMEGA, 2000, 12), ("delta0.005", omega_r(0.005), 2000, 4)]
+    return [pytest.param(d, n, k, id=f"{name}-n{n}-k{k}") for name, d, n, k in cases]
+
+
+class TestCloudDiameter:
+    @pytest.mark.parametrize("domain, n, k", _cloud_diameter_cases())
+    @pytest.mark.parametrize(
+        "kind",
+        [CONE_METRIC, CONIFOLD_FLAT, calabi_family(1.0), calabi_family(1e-2), calabi_family(1e-4)],
+        ids=["cone", "flat", "t1", "t1e-2", "t1e-4"],
+    )
+    def test_equals_full_matrix_maximum(self, domain, n, k, kind):
+        c = build_cloud(domain, kind, n=n, graph_k=k, seed=n + k)
+        assert cloud_diameter(c) == _all_pairs(c.graph).max()
+
+    def test_computes_few_rows(self, monkeypatch):
+        # the estimates sweep's cloud: Omega_0.01 at t = 1e-3, n = 500, k = 12
+        rows = []
+
+        def counting(graph, sources=None):
+            rows.append(graph.shape[0] if sources is None else len(sources))
+            return _all_pairs(graph, sources)
+
+        c = build_cloud(omega_r(0.01), calabi_family(1e-3), n=500, graph_k=12, seed=42)
+        monkeypatch.setattr(metricgeom, "_all_pairs", counting)
+        diam = cloud_diameter(c)
+        assert sum(rows) < 500 / 4
+        assert diam == _all_pairs(c.graph).max()
+
+    def test_disconnected_cloud_raises(self):
+        c = MetricCloud(
+            points=sample_domain(OMEGA, 4, 0),
+            kind=CONIFOLD_FLAT,
+            graph=_symmetric_graph(4, np.array([[0, 1], [2, 3]]))(np.ones(2)),
+            graph_k=4,
+            seed=0,
+        )
+        with pytest.raises(DegenerateMetric):
+            cloud_diameter(c)
 
 
 class TestGraph:

@@ -39,6 +39,7 @@ from .metricgeom import (
     GHEstimate,
     MetricCloud,
     build_cloud,
+    build_clouds,
     cloud_diameter,
     fs_diameter,
     gh_upper_bound,

@@ -337,10 +337,12 @@ def _exp_estimates(cfg: ExperimentConfig):
     found = None
     best_diam = math.inf
     n_small = max(300, cfg.n_samples // 4)
+    t_small = (min(cfg.t_grid), min(cfg.t_grid) / 10.0, min(cfg.t_grid) / 100.0)
     for delta in (0.05, 0.02, 0.01, 0.005):
-        for t in (min(cfg.t_grid), min(cfg.t_grid) / 10.0, min(cfg.t_grid) / 100.0):
-            cloud = metricgeom.build_cloud(omega_r(delta), forms.calabi_family(t),
-                                           n_small, cfg.graph_k, cfg.seed)
+        # one sample and graph per delta, weighted for every t
+        clouds = metricgeom.build_clouds(omega_r(delta), [forms.calabi_family(t) for t in t_small],
+                                         n_small, cfg.graph_k, cfg.seed)
+        for t, cloud in zip(t_small, clouds):
             diam = metricgeom.cloud_diameter(cloud) + 2.0 * metricgeom.radial_stub(
                 t, 2.0 * math.log(delta) - metricgeom.RHO_DEPTH)
             rows.append(_estimate_row(t=t, delta=delta, omega_delta_diameter=diam))

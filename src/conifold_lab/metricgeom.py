@@ -14,9 +14,14 @@ graph and, being independent of k, preserves the monotonicity of distances
 under increasing k.  The tree is exact and built without a dense distance
 matrix, by Boruvka rounds over the kNN lists the graph already queries
 (deeper KD-tree queries only where a list cannot certify a point's nearest
-neighbour outside its component).  Each graph stores both directions of
-every edge in one sorted CSR structure, built once and shared by all metric
-kinds.
+neighbour outside its component).  Edges (i < j) are deduplicated on the
+one int64 key i * n + j, whose order is their row order.  Each graph stores
+both directions of every edge in one sorted CSR structure.
+
+``build_clouds`` is the one graph builder: it builds the sample, the edge
+set and the CSR structure once per (domain, n, k, seed) and weights that
+graph per metric kind.  ``build_cloud`` is its batch of one, and
+``gh_upper_bounds`` takes the cone's and the family's graphs from it.
 
 A ``MetricCloud`` holds its weighted graph, not a distance matrix.
 ``cloud_diameter`` is exact from a few Dijkstra rows: eccentricity bounds
@@ -274,7 +279,7 @@ def _emst(tree: scipy.spatial.cKDTree, dd: np.ndarray, idx: np.ndarray) -> np.nd
     n = tree.n
     points = np.arange(n)
     comp, ncomp = points, n
-    mst = np.empty((0, 2), dtype=np.intp)
+    mst = np.empty(0, dtype=np.intp)  # edge keys i * n + j
     while ncomp > 1:
         d, j = _nearest_outside(comp, points, dd, idx)
         best = np.full(n, np.inf)
@@ -292,10 +297,10 @@ def _emst(tree: scipy.spatial.cKDTree, dd: np.ndarray, idx: np.ndarray) -> np.nd
         lo, hi = np.minimum(points, j), np.maximum(points, j)
         order = np.lexsort((hi, lo, d, comp))
         first = order[np.r_[True, comp[order[1:]] != comp[order[:-1]]]]
-        mst = np.unique(np.concatenate([mst, np.stack([lo[first], hi[first]], axis=1)]), axis=0)
-        tree_so_far = scipy.sparse.coo_matrix((np.ones(len(mst)), mst.T), shape=(n, n))
+        mst = np.unique(np.concatenate([mst, lo[first] * n + hi[first]]))
+        tree_so_far = scipy.sparse.coo_matrix((np.ones(len(mst)), divmod(mst, n)), shape=(n, n))
         ncomp, comp = scipy.sparse.csgraph.connected_components(tree_so_far, directed=False)
-    return mst
+    return np.stack(divmod(mst, n), axis=1)
 
 
 def _graph_edges(points: ResolvedPoint, graph_k: int) -> np.ndarray:
@@ -308,7 +313,9 @@ def _graph_edges(points: ResolvedPoint, graph_k: int) -> np.ndarray:
     knn = np.stack([np.repeat(np.arange(n), k), np.ravel(idx)], axis=1)
     # Connectivity backbone, independent of graph_k.
     pairs = np.sort(np.concatenate([knn, _emst(tree, dd, idx)]), axis=1)
-    return np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+    i, j = pairs[pairs[:, 0] != pairs[:, 1]].T
+    # the key i * n + j orders edges (i < j) as their rows do
+    return np.stack(divmod(np.unique(i * n + j), n), axis=1)
 
 
 def _edge_weights(kind: FormKind, points: ResolvedPoint, edges: np.ndarray) -> np.ndarray:
@@ -355,18 +362,35 @@ def _all_pairs(graph: scipy.sparse.csr_matrix, sources: np.ndarray | None = None
     return dist
 
 
-def build_cloud(
-    d: DomainSpec, kind: FormKind, n: int, graph_k: int, seed: int
-) -> MetricCloud:
-    """Sample the domain and weight its graph under the kind's metric (no Dijkstra)."""
+def build_clouds(
+    d: DomainSpec, kinds: list[FormKind], n: int, graph_k: int, seed: int
+) -> list[MetricCloud]:
+    """Sample the domain once and weight its one graph under each kind (no Dijkstra).
+
+    The sample, the edge set and the two-direction CSR structure depend only
+    on ``(d, n, graph_k, seed)``, so they are built once; each kind adds one
+    batched weight evaluation, and the clouds share points and structure.
+    Raises ``ValueError`` unless n >= 10 and graph_k >= 4.
+    """
     if n < 10:
         raise ValueError("need n >= 10")
     if graph_k < 4:
         raise ValueError("need graph_k >= 4")
     points = sample_domain(d, n, seed)
     edges = _graph_edges(points, graph_k)
-    graph = _symmetric_graph(n, edges)(_edge_weights(kind, points, edges))
-    return MetricCloud(points=points, kind=kind, graph=graph, graph_k=graph_k, seed=seed)
+    graph = _symmetric_graph(n, edges)
+    return [
+        MetricCloud(points=points, kind=kind, graph=graph(_edge_weights(kind, points, edges)),
+                    graph_k=graph_k, seed=seed)
+        for kind in kinds
+    ]
+
+
+def build_cloud(
+    d: DomainSpec, kind: FormKind, n: int, graph_k: int, seed: int
+) -> MetricCloud:
+    """One kind's cloud: ``build_clouds`` as a batch of one."""
+    return build_clouds(d, [kind], n, graph_k, seed)[0]
 
 
 def cloud_diameter(c: MetricCloud) -> float:
@@ -417,15 +441,16 @@ def gh_upper_bounds(
     (Omega, omega_t) and the cone: sampling and graph errors are not
     included.  The discrepancy is reduced over chunks of source rows, so no
     n x n matrix is held.
+
+    The graphs come from one ``build_clouds`` call (cone first, then each t),
+    so the sample and edge set are built once.  Raises ``ValueError`` unless
+    every t lies in (0, 1], n >= 10 and graph_k >= 4.
     """
     for t in t_grid:
         if not (0.0 < t <= 1.0):
             raise ValueError("t must lie in (0, 1]")
-    points = sample_domain(OMEGA, n, seed)
-    edges = _graph_edges(points, graph_k)
-    graph = _symmetric_graph(n, edges)
-    cone = graph(_edge_weights(CONE_METRIC, points, edges))
-    family = [graph(_edge_weights(calabi_family(t), points, edges)) for t in t_grid]
+    kinds = [CONE_METRIC] + [calabi_family(t) for t in t_grid]
+    cone, *family = (c.graph for c in build_clouds(OMEGA, kinds, n, graph_k, seed))
     distortion = [0.0] * len(t_grid)
     for start in range(0, n, _CHUNK):
         sources = np.arange(start, min(start + _CHUNK, n))

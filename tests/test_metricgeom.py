@@ -32,6 +32,7 @@ from conifold_lab.metricgeom import (
     _graph_edges,
     _symmetric_graph,
     build_cloud,
+    build_clouds,
     cloud_diameter,
     fs_diameter,
     gh_upper_bound,
@@ -43,7 +44,7 @@ from conifold_lab.metricgeom import (
     zero_section_area,
     zero_section_diameter,
 )
-from conifold_lab.profile import ProfileParams, eval_profile
+from oracles import QUAD_OPTS, zero_section_area_quadrature
 
 RNG = np.random.default_rng(7)
 
@@ -53,16 +54,13 @@ def cone_radial_closed_form(rho_top):
     return 1.5 ** (2 / 3) * math.exp(rho_top / 3.0)
 
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
-
-
 def fs_radial_distance(c):
     """Fubini-Study geodesic distance between unit vectors with |<p,q>| = c, by quadrature."""
     if c < 1e-9:
-        val, _ = scipy.integrate.quad(lambda r: 1.0 / (1.0 + r * r), 0.0, 1.0, **_QUAD_OPTS)
+        val, _ = scipy.integrate.quad(lambda r: 1.0 / (1.0 + r * r), 0.0, 1.0, **QUAD_OPTS)
         return 2.0 * val
     reach = math.sqrt(max(0.0, 1.0 - c * c)) / c
-    val, _ = scipy.integrate.quad(lambda r: 1.0 / (1.0 + r * r), 0.0, reach, **_QUAD_OPTS)
+    val, _ = scipy.integrate.quad(lambda r: 1.0 / (1.0 + r * r), 0.0, reach, **QUAD_OPTS)
     return val
 
 
@@ -78,21 +76,6 @@ def fs_diameter_sweep(n_dirs=512):
         cos_theta = 1.0 - 2.0 * (k + 0.5) / n_dirs
         best = max(best, fs_radial_distance(math.sqrt(0.5 * (1.0 + cos_theta))))
     return best
-
-
-def zero_section_area_quadrature(t, rho_floor=-300.0):
-    """Quadrature oracle for the area: the full restricted family integrand.
-
-    The profile terms are evaluated at rho_floor, where they are below
-    1e-100, and the integral runs over the two base charts by symmetry.
-    """
-    prof = eval_profile(ProfileParams(t), rho_floor)
-
-    def integrand(r):
-        return (t + prof.uprime + prof.usecond * r * r) / (1.0 + r * r) ** 2 * r
-
-    val, _ = scipy.integrate.quad(integrand, 0.0, 1.0, **_QUAD_OPTS)
-    return 2.0 * 4.0 * math.pi * val
 
 
 def stack(points):
@@ -338,6 +321,21 @@ class TestCloud:
         with pytest.raises(ValueError):
             build_cloud(OMEGA, CONIFOLD_FLAT, n=50, graph_k=2, seed=1)
 
+    def test_shared_clouds_equal_clouds_built_alone(self):
+        # one sample and structure weighted per kind: no kind's weights leak into another's
+        d, n, k, seed = omega_r(0.05), 300, 8, 17
+        kinds = [calabi_family(t) for t in (1e-2, 1e-3, 1e-4)] + [CONE_METRIC]
+        clouds = build_clouds(d, kinds, n=n, graph_k=k, seed=seed)
+        assert [c.kind for c in clouds] == kinds
+        for kind, c in zip(kinds, clouds):
+            pts = sample_domain(d, n, seed)
+            edges = _graph_edges(pts, k)
+            alone = _symmetric_graph(n, edges)(_edge_weights(kind, pts, edges))
+            for coord in ("z", "xi1", "xi2"):
+                assert np.array_equal(getattr(c.points, coord), getattr(pts, coord))
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(c.graph, attr), getattr(alone, attr))
+
     def test_degenerate_domain_rejected(self):
         # a domain so deep the family metric cannot be evaluated on it
         with pytest.raises(DegenerateMetric):
@@ -533,6 +531,13 @@ class TestGH:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             gh_upper_bound(0.0, n=100, seed=1)
+
+    def test_cloud_size_validation(self):
+        # the builder's checks: n >= 10 and graph_k >= 4
+        with pytest.raises(ValueError):
+            gh_upper_bounds([1.0], n=9, seed=0)
+        with pytest.raises(ValueError):
+            gh_upper_bounds([1.0], n=30, seed=0, graph_k=3)
 
     @pytest.mark.parametrize(
         "n, seed, k",

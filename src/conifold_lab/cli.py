@@ -11,12 +11,10 @@ configuration or I/O error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -25,6 +23,7 @@ import numpy as np
 from . import __version__, curvature, forms, metricgeom
 from .chart import OMEGA, ResolvedPoint, omega_r, rho, rho_alpha
 from .errors import ConfigError, NonPositiveData
+from .metricgeom import _max_workers  # noqa: F401  (unused; bench/worker.py calls it by name)
 from .profile import ProfileParams, cubic_residual, eval_profiles
 from .profile import eval_profile  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 
@@ -83,24 +82,9 @@ class ExperimentConfig:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
 
-def _max_workers() -> int:
-    env = os.environ.get("CONIFOLD_LAB_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"CONIFOLD_LAB_THREADS={env!r} is not an integer") from exc
-        return max(1, cap)
-    return min(4, os.cpu_count() or 1)
-
-
 def _pmap(fn, items):
-    """Map over independent work items on the capped pool, preserving order (GH seeds)."""
-    workers = _max_workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Map in order over independent work items (GH seeds; bench/tracing.py wraps it by name)."""
+    return [fn(x) for x in items]
 
 
 def fit_power_law(pairs) -> tuple[float, float, float]:

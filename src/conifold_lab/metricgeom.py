@@ -33,9 +33,14 @@ the clouds of the estimate sweep.
 
 ``gh_upper_bounds`` bounds the Gromov-Hausdorff distance between the graph
 metrics of the t-metric and of the cone on one shared sample, not between
-the continuum spaces.  It runs Dijkstra over fixed chunks of source rows
-and folds each chunk into a running maximum of the discrepancy, so its
-memory grows as O(chunk * n) rather than O(n^2).
+the continuum spaces.  It runs Dijkstra over fixed chunks of source rows;
+each chunk is reduced to its per-t maxima of the discrepancy, so memory
+grows as O(chunk * n) rather than O(n^2).  The chunks run on forked worker
+processes, which inherit the graphs built in the parent and return only
+those maxima; the parent takes the maximum over chunks, which does not
+depend on how the rows are grouped.  ``CONIFOLD_LAB_THREADS`` caps the
+worker count (default min(4, usable CPUs)); at width 1, or with a single
+chunk, the chunks run in the calling process and no process is started.
 
 Sampling is stratified and quasi-random (seeded Halton): uniform in rho
 down to a fixed depth below the domain top, uniform in the base and fibre
@@ -47,6 +52,8 @@ radial length integral, available as ``radial_stub``.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -59,7 +66,7 @@ import scipy.stats.qmc
 
 from .chart import OMEGA, DomainSpec, ResolvedPoint, contract, rho
 from .chart import second_chart  # noqa: F401  (unused; bench/tracing.py wraps it by name)
-from .errors import DegenerateMetric, OnZeroSection
+from .errors import ConfigError, DegenerateMetric, OnZeroSection
 from .forms import CONE_METRIC, FormKind, calabi_family, eval_forms
 from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 from .profile import ProfileParams, cone_profile, eval_profile
@@ -428,6 +435,46 @@ def cloud_diameter(c: MetricCloud) -> float:
     return best
 
 
+def _max_workers() -> int:
+    """Worker-process cap: ``CONIFOLD_LAB_THREADS`` (values < 1 read as 1).
+
+    Unset, it is min(4, number of CPUs this process may run on).  Raises
+    ``ConfigError`` when the variable is not an integer.
+    """
+    env = os.environ.get("CONIFOLD_LAB_THREADS")
+    if env:
+        try:
+            cap = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"CONIFOLD_LAB_THREADS={env!r} is not an integer") from exc
+        return max(1, cap)
+    return min(4, len(os.sched_getaffinity(0)))
+
+
+def _chunk_gaps(graphs: list[scipy.sparse.csr_matrix], start: int) -> list[float]:
+    """Per-t maxima of |d_t - d_cone| over the ``_CHUNK`` source rows from ``start``.
+
+    ``graphs`` is the cone's graph followed by each t's.
+    """
+    cone, *family = graphs
+    sources = np.arange(start, min(start + _CHUNK, cone.shape[0]))
+    d_cone = _all_pairs(cone, sources)
+    return [float(np.max(np.abs(_all_pairs(g, sources) - d_cone))) for g in family]
+
+
+#: The graphs of the pool this worker process serves (set only in workers).
+_worker_graphs: list[scipy.sparse.csr_matrix] = []
+
+
+def _init_worker(graphs: list[scipy.sparse.csr_matrix]) -> None:
+    global _worker_graphs
+    _worker_graphs = graphs
+
+
+def _worker_chunk_gaps(start: int) -> list[float]:
+    return _chunk_gaps(_worker_graphs, start)
+
+
 def gh_upper_bounds(
     t_grid: list[float], n: int, seed: int, graph_k: int = 12
 ) -> list[GHEstimate]:
@@ -443,22 +490,32 @@ def gh_upper_bounds(
     n x n matrix is held.
 
     The graphs come from one ``build_clouds`` call (cone first, then each t),
-    so the sample and edge set are built once.  Raises ``ValueError`` unless
-    every t lies in (0, 1], n >= 10 and graph_k >= 4.
+    so the sample and edge set are built once.  The chunks run on
+    min(``_max_workers()``, chunk count) processes forked after the build:
+    they inherit the graphs rather than receive copies, and each chunk
+    returns only its per-t maxima.  The maximum over chunks does not depend
+    on their grouping, so the bounds equal those of the serial loop, which
+    runs in this process, starting none, when that width is 1.  A worker's
+    ``DegenerateMetric`` reaches the caller as it would serially.  Raises
+    ``ValueError`` unless every t lies in (0, 1], n >= 10 and graph_k >= 4,
+    and ``ConfigError`` for a non-integer ``CONIFOLD_LAB_THREADS``.
     """
     for t in t_grid:
         if not (0.0 < t <= 1.0):
             raise ValueError("t must lie in (0, 1]")
+    starts = range(0, n, _CHUNK)
+    workers = min(_max_workers(), len(starts))
     kinds = [CONE_METRIC] + [calabi_family(t) for t in t_grid]
-    cone, *family = (c.graph for c in build_clouds(OMEGA, kinds, n, graph_k, seed))
-    distortion = [0.0] * len(t_grid)
-    for start in range(0, n, _CHUNK):
-        sources = np.arange(start, min(start + _CHUNK, n))
-        d_cone = _all_pairs(cone, sources)
-        for i, g in enumerate(family):
-            gap = float(np.max(np.abs(_all_pairs(g, sources) - d_cone)))
-            distortion[i] = max(distortion[i], gap)
-    return [GHEstimate(t=t, bound=0.5 * d) for t, d in zip(t_grid, distortion)]
+    graphs = [c.graph for c in build_clouds(OMEGA, kinds, n, graph_k, seed)]
+    if workers == 1:
+        gaps = [_chunk_gaps(graphs, start) for start in starts]
+    else:
+        # fork, not spawn: workers inherit the graphs, and a spawned worker
+        # would import numpy and scipy again on every call
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers, initializer=_init_worker, initargs=(graphs,)) as pool:
+            gaps = pool.map(_worker_chunk_gaps, starts, chunksize=1)
+    return [GHEstimate(t=t, bound=0.5 * max(col)) for t, col in zip(t_grid, zip(*gaps))]
 
 
 def gh_upper_bound(t: float, n: int, seed: int, graph_k: int = 12) -> GHEstimate:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conifold_lab import __version__
+from conifold_lab import __version__, metricgeom
 from conifold_lab.cli import ExperimentConfig, fit_power_law, main, run
 from conifold_lab.errors import ConfigError, NonPositiveData
 
@@ -168,6 +168,16 @@ class TestMainAndConfigFile:
         assert main(
             ["gh-converge", "--t-grid", "1,0.5", "--n", "60", "--out", str(out)]
         ) == 2
+        with pytest.raises(ConfigError):
+            metricgeom.gh_upper_bounds([1.0], n=60, seed=0, graph_k=6)
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a cap below 1 must run serially")
+
+        # two chunks, yet a cap of 0 reads as 1: no process is started
+        monkeypatch.setenv("CONIFOLD_LAB_THREADS", "0")
+        monkeypatch.setattr(metricgeom.multiprocessing, "get_context", no_process)
+        assert len(metricgeom.gh_upper_bounds([1.0], n=300, seed=0, graph_k=6)) == 1
 
 
 class TestEstimatesGreen:

@@ -1,6 +1,8 @@
 """Lengths, areas, diameters, clouds and GH bounds."""
 
 import math
+import multiprocessing
+import signal
 import tracemalloc
 
 import numpy as np
@@ -556,8 +558,59 @@ class TestGH:
         with pytest.raises(DegenerateMetric):
             _all_pairs(graph(np.ones(2)), np.array([2]))
 
-    def test_memory_stays_linear_in_n(self):
-        # the streamed reduction holds O(chunk * n); a dense n x n float matrix alone is 8 MB
+    @pytest.mark.parametrize("n", [_CHUNK + 1, 600, 1000])
+    def test_serial_path_equals_pooled_path(self, n, monkeypatch):
+        t_grid = [1.0, 0.1, 0.01]
+        real_context, forks = multiprocessing.get_context, []
+
+        def spy(method):
+            forks.append(method)
+            return real_context(method)
+
+        monkeypatch.delenv("CONIFOLD_LAB_THREADS", raising=False)
+        monkeypatch.setattr(metricgeom.multiprocessing, "get_context", spy)
+        pooled = [e.bound for e in gh_upper_bounds(t_grid, n=n, seed=5, graph_k=8)]
+        width = min(metricgeom._max_workers(), -(-n // _CHUNK))
+        assert forks == (["fork"] if width > 1 else [])
+        # up to one worker per chunk, more workers than this machine may have cores
+        monkeypatch.setenv("CONIFOLD_LAB_THREADS", "4")
+        wide = [e.bound for e in gh_upper_bounds(t_grid, n=n, seed=5, graph_k=8)]
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("the serial path started a process")
+
+        monkeypatch.setenv("CONIFOLD_LAB_THREADS", "1")
+        monkeypatch.setattr(metricgeom.multiprocessing, "get_context", no_process)
+        serial = [e.bound for e in gh_upper_bounds(t_grid, n=n, seed=5, graph_k=8)]
+        assert serial == pooled == wide
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        # cut every edge between the two halves: the first chunk's rows reach
+        # no node of the other half, so a worker raises
+        real = metricgeom._graph_edges
+
+        def split(points, graph_k):
+            edges = real(points, graph_k)
+            return edges[(edges < 300).sum(axis=1) != 1]
+
+        def hung(signum, frame):
+            raise TimeoutError("gh_upper_bounds did not return")
+
+        monkeypatch.delenv("CONIFOLD_LAB_THREADS", raising=False)
+        monkeypatch.setattr(metricgeom, "_graph_edges", split)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(DegenerateMetric):
+                gh_upper_bounds([1.0, 0.1], n=600, seed=1, graph_k=8)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_memory_stays_linear_in_n(self, monkeypatch):
+        # the streamed reduction holds O(chunk * n); a dense n x n float matrix alone is 8 MB.
+        # Width 1 keeps the chunks in this process, where tracemalloc sees them.
+        monkeypatch.setenv("CONIFOLD_LAB_THREADS", "1")
         tracemalloc.start()
         try:
             gh_upper_bounds([1.0, 0.1, 0.01], n=1000, seed=1)

@@ -74,9 +74,11 @@ class ExperimentConfig:
             raise ConfigError("graph_k must be >= 4")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
-        for k in self.tolerances:
+        for k, v in self.tolerances.items():
             if k not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {k!r}")
+            if not math.isfinite(v):
+                raise ConfigError(f"tolerance {k} must be finite, got {v!r}")
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])

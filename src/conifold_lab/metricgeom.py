@@ -45,8 +45,8 @@ chunk, the chunks run in the calling process and no process is started.
 Sampling is stratified and quasi-random (seeded Halton): uniform in rho
 down to a fixed depth below the domain top, uniform in the base and fibre
 phases, plus a ring hugging the boundary and a batch on the depth floor.
-The unsampled stub between the floor and the zero section is charged the
-radial length integral, available as ``radial_stub``.
+The unsampled stub between the floor and the zero section is charged its
+closed-form radial length, available as ``radial_stub``.
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.spatial
+import scipy.special
 import scipy.stats.qmc
 
 from .chart import OMEGA, DomainSpec, ResolvedPoint, contract, rho
@@ -69,16 +69,11 @@ from .chart import second_chart  # noqa: F401  (unused; bench/tracing.py wraps i
 from .errors import ConfigError, DegenerateMetric, OnZeroSection
 from .forms import CONE_METRIC, FormKind, calabi_family, eval_forms
 from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it by name)
-from .profile import ProfileParams, cone_profile, eval_profile
+from .profile import ProfileParams, eval_profile
+from .profile import cone_profile  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 
 #: Sampled clouds reach this far below the domain's rho supremum.
 RHO_DEPTH = 20.0
-
-#: Lower cutoff of the radial-length quadrature; the truncated tail is
-#: below 1e-13 for every t in [0, 1].
-_QUAD_RHO_CUT = -120.0
-
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
 
 #: Source rows per shortest-path call in the streamed GH reduction.
 _CHUNK = 256
@@ -126,37 +121,41 @@ class GHEstimate:
             raise ValueError("bound must be nonnegative")
 
 
-def _sqrt_usecond(t: float, r: float) -> float:
-    if t == 0.0:
-        return math.sqrt(cone_profile(r).usecond)
-    return math.sqrt(eval_profile(ProfileParams(t), r).usecond)
-
-
 def radial_length_from_rho(rho_top: float, t: float) -> float:
-    """Length of the radial path from the zero section out to log radius rho_top."""
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    if not math.isfinite(rho_top):
-        raise OnZeroSection("radial path needs a finite endpoint radius")
-    lo = min(_QUAD_RHO_CUT, rho_top - 1.0)
-    val, _ = scipy.integrate.quad(lambda r: _sqrt_usecond(t, r), lo, rho_top, **_QUAD_OPTS)
-    return 0.5 * val
+    """Length of the radial path from the zero section out to log radius rho_top.
+
+    (1/2) * integral of sqrt(u'') d rho, in closed form: with x = u' the cubic
+    gives u'' = x (2x + 3t) / (3 (t + x)); x = s^2, s = a tan(phi) with
+    a = sqrt(1.5 t) and one integration by parts give, for U = u'(rho_top, t),
+
+        L = sqrt(U) sqrt(3 (U + t) / (2U + 3t)) + a (F(phi|-1/2) - E(phi|-1/2)),
+
+    phi = atan2(sqrt(U), a), with F, E the incomplete elliptic integrals.  At
+    t = 0, L = 1.5^{2/3} e^{rho_top/3}.  The first term stays factored, since
+    U^2 underflows at t = 0, rho_top = -700.  Raises ``OnZeroSection`` at
+    rho_top = -inf and ``NonFinite`` at +inf or nan.
+    """
+    params = ProfileParams(t)
+    if rho_top == -math.inf:
+        raise OnZeroSection("radial path ends on the zero section")
+    u = eval_profile(params, rho_top).uprime
+    a = math.sqrt(1.5 * t)
+    phi = math.atan2(math.sqrt(u), a)
+    elliptic = scipy.special.ellipkinc(phi, -0.5) - scipy.special.ellipeinc(phi, -0.5)
+    return math.sqrt(u) * math.sqrt(3.0 * (u + t) / (2.0 * u + 3.0 * t)) + a * float(elliptic)
 
 
 def radial_length(p: ResolvedPoint, t: float) -> float:
     """Length under the t-metric of the radial path (z, s*xi) from P0 to p.
 
     The path speed is sqrt(u'') |ds|/s and d rho = 2 ds/s, so the length is
-    (1/2) * integral of sqrt(u''(rho, t)) d rho up to rho(p).
+    (1/2) * integral of sqrt(u''(rho, t)) d rho up to rho(p), in closed form.
     """
-    r = rho(p)
-    if not math.isfinite(r):
-        raise OnZeroSection("radial path undefined from the zero section itself")
-    return radial_length_from_rho(r, t)
+    return radial_length_from_rho(rho(p), t)
 
 
 def radial_stub(t: float, rho_floor: float = -RHO_DEPTH) -> float:
-    """Radial length from the zero section to the sampling floor (< 1e-2 for all t)."""
+    """Closed-form radial length from the zero section to the sampling floor (< 1e-2 for all t)."""
     return radial_length_from_rho(rho_floor, t)
 
 

@@ -165,11 +165,7 @@ def _cone(rho, g) -> ProfileEval:
 
 def solve_uprime(params: ProfileParams, rho: float) -> float:
     """The unique positive root u'(rho, t) of the profile cubic."""
-    rho = _clamp_rho(rho)
-    if params.t == 0.0:
-        return CONE_UPRIME_COEFF * math.exp(2.0 * rho / 3.0)
-    erho = math.exp(rho)
-    return erho * _solve_q(params.t, erho)
+    return eval_profile(params, rho).uprime
 
 
 def eval_profile(params: ProfileParams, rho: float) -> ProfileEval:

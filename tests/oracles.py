@@ -22,3 +22,16 @@ def zero_section_area_quadrature(t, rho_floor=-300.0):
 
     val, _ = scipy.integrate.quad(integrand, 0.0, 1.0, **QUAD_OPTS)
     return 2.0 * 4.0 * math.pi * val
+
+
+def radial_length_quadrature(rho_top, t):
+    """Quadrature oracle for the radial length: (1/2) * integral of sqrt(u'') d rho.
+
+    The lower limit is rho_top - 120.  sqrt(u'') decays slowest at t = 0, as
+    e^{rho/3}, so the truncated tail is at most about e^{-40} of the length.
+    """
+    params = ProfileParams(t)
+    val, _ = scipy.integrate.quad(
+        lambda r: math.sqrt(eval_profile(params, r).usecond), rho_top - 120.0, rho_top, **QUAD_OPTS
+    )
+    return 0.5 * val

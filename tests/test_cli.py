@@ -120,6 +120,21 @@ class TestExitCodes:
         # no experiment ever read this tolerance, so it is not a name
         assert main(["profile-table", "--tol", "area_linearity_rel=1e-8"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_nonfinite_tolerance_is_config_error(self, tmp_path, capsys, source, value):
+        out = tmp_path / "r.json"
+        args = ["profile-table", "--n", "10", "--out", str(out)]
+        if source == "flag":
+            args += ["--tol", f"cubic_residual={value}"]
+        else:
+            conf = tmp_path / "lab.conf"
+            conf.write_text(f"tol_cubic_residual = {value}\n")
+            args += ["--config", str(conf)]
+        assert main(args) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_is_2(self, tmp_path):
         cfg = ExperimentConfig(
             experiment="profile-table",

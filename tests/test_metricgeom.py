@@ -15,7 +15,7 @@ import scipy.stats.qmc
 
 from conifold_lab import metricgeom
 from conifold_lab.chart import OMEGA, ResolvedPoint, contract, omega_r, rho, second_chart
-from conifold_lab.errors import DegenerateMetric, OnZeroSection
+from conifold_lab.errors import DegenerateMetric, NonFinite, OnZeroSection
 from conifold_lab.forms import (
     CONE_METRIC,
     CONIFOLD_FLAT,
@@ -46,7 +46,7 @@ from conifold_lab.metricgeom import (
     zero_section_area,
     zero_section_diameter,
 )
-from oracles import QUAD_OPTS, zero_section_area_quadrature
+from oracles import QUAD_OPTS, radial_length_quadrature, zero_section_area_quadrature
 
 RNG = np.random.default_rng(7)
 
@@ -185,6 +185,27 @@ class TestRadialLength:
     def test_cone_closed_form_sweep(self):
         for r in np.linspace(-20, 0, 9):
             assert abs(radial_length_from_rho(float(r), 0.0) - cone_radial_closed_form(r)) <= 1e-8
+
+    def test_cone_closed_form_deep(self):
+        # far below any fixed quadrature cutoff
+        got = radial_length_from_rho(-150.0, 0.0)
+        assert got == pytest.approx(cone_radial_closed_form(-150.0), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("rho_top", [-40.0, -20.0, -5.0, 0.0, 2.0])
+    @pytest.mark.parametrize("t", [1e-6, 1e-4, 0.01, 0.1, 0.5, 1.0])
+    def test_matches_quadrature(self, t, rho_top):
+        want = radial_length_quadrature(rho_top, t)
+        got = radial_length_from_rho(rho_top, t)
+        assert got == pytest.approx(want, rel=QUAD_OPTS["epsrel"], abs=QUAD_OPTS["epsabs"])
+
+    def test_zero_section_endpoint(self):
+        with pytest.raises(OnZeroSection):
+            radial_length_from_rho(float("-inf"), 0.5)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_nonfinite_endpoint(self, bad):
+        with pytest.raises(NonFinite):
+            radial_length_from_rho(bad, 0.5)
 
     def test_monotone_in_t(self):
         vals = [radial_length_from_rho(0.0, t) for t in (0.0, 0.1, 0.5, 1.0)]

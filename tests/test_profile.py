@@ -139,8 +139,11 @@ class TestSolveUprime:
             solve_uprime(ProfileParams(0.5), float("nan"))
 
     def test_clamp_warns(self):
-        with pytest.warns(RangeClampedWarning):
-            solve_uprime(ProfileParams(0.5), -800.0)
+        for t in (0.0, 0.5):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                solve_uprime(ProfileParams(t), -800.0)
+            assert [w.category for w in caught] == [RangeClampedWarning]
         with pytest.warns(RangeClampedWarning):
             prof = eval_profile(ProfileParams(0.5), -800.0)
         assert prof.rho == -700.0

@@ -48,15 +48,15 @@ class StencilSpec:
             raise ValueError("stencil order must be 2 or 4")
 
 
-def _stencil(s: StencilSpec) -> tuple[np.ndarray, np.ndarray]:
+def _unit_stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Offsets (K, 6) along (Re z, Im z, Re xi1, Im xi1, Re xi2, Im xi2) and weights (K, 6, 6).
 
     Contracting field values with the weights gives the real d_a d_b for
     a == b (1-D second-derivative stencil) and for a < b on distinct
     coordinates (outer product of the 1-D first-derivative stencil); other
-    entries are zero.  Row 0 is the centre.
+    entries are zero.  Row 0 is the centre.  Unit step; both are read-only.
     """
-    if s.order == 2:
+    if order == 2:
         off, d1 = np.array([-1.0, 1.0]), np.array([-1.0, 1.0]) / 2.0
         d2, d2_centre = np.array([1.0, 1.0]), -2.0
     else:
@@ -79,7 +79,11 @@ def _stencil(s: StencilSpec) -> tuple[np.ndarray, np.ndarray]:
         (np.multiply.outer(d1, d1)[:, :, None, None, None]
          * eye[a][:, :, None] * eye[b][:, None, :]).reshape(-1, 6, 6),
     ])
-    return offsets * s.h, weights / s.h**2
+    offsets.flags.writeable = weights.flags.writeable = False
+    return offsets, weights
+
+
+_UNIT_STENCILS = {order: _unit_stencil(order) for order in (2, 4)}
 
 
 def complex_hessian(
@@ -92,7 +96,8 @@ def complex_hessian(
     lane.  ``OnZeroSection`` from any lane raises ``StencilOutOfDomain``, a
     non-finite value at any lane ``NonFinite``.
     """
-    offsets, weights = _stencil(s)
+    offsets, weights = _UNIT_STENCILS[s.order]
+    offsets, weights = offsets * s.h, weights / s.h**2
     lanes = np.array([p.z, p.xi1, p.xi2]) + offsets[:, 0::2] + 1j * offsets[:, 1::2]
     try:
         values = np.asarray(f(ResolvedPoint(*lanes.T)))

@@ -296,7 +296,9 @@ def compare_forms(a: HermitianForm, b: HermitianForm):
     B must be positive definite with smallest eigenvalue above 1e-13.  The
     pencil is whitened by the Cholesky factor B = L L^H, and lmin, lmax are
     the extreme eigenvalues of L^{-1} A L^{-H}; on stacked forms one
-    stacked factorization and eigensolve give one pair per lane.
+    stacked factorization and eigensolve give one pair per lane.  lmin is
+    fixed only to about eps * cond(B) relative (~1e-7 at rho = -20 against
+    CONIFOLD_FLAT, where cond(B) ~ 7e8), so its trailing digits are noise.
     """
     if not _same_base(a.base, b.base):
         raise BaseMismatch("forms evaluated at different base points")
@@ -306,9 +308,3 @@ def compare_forms(a: HermitianForm, b: HermitianForm):
     inv = np.linalg.inv(np.linalg.cholesky(b.m))
     ev = np.linalg.eigvalsh(inv @ a.m @ np.swapaxes(inv, -1, -2).conjugate())
     return _float_or_lanes(ev[..., 0]), _float_or_lanes(ev[..., -1])
-
-
-def rotate_fibre(p: ResolvedPoint, unitary: np.ndarray) -> ResolvedPoint:
-    """Apply a U(2) rotation to the fibre coordinates (trivialization change)."""
-    xi = unitary @ np.array([p.xi1, p.xi2])
-    return ResolvedPoint(z=p.z, xi1=complex(xi[0]), xi2=complex(xi[1]))

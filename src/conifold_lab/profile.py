@@ -24,14 +24,12 @@ The closed-form cubic formula is deliberately not used: it cancels
 catastrophically for small e^{2 rho}.
 
 The Newton step is written once, in arithmetic valid on floats and on
-arrays.  ``eval_profile`` runs it in a float loop, so a single call pays no
-array overhead; ``eval_profiles`` runs it in a masked loop over an array of
-rho, where each lane stops at its own first non-decreasing step.  Both land
-within 2 ulps of the exact root, but they are not bit-identical: ``np.exp``
-and the array power differ from ``math.exp`` and the float power in the
-last bit on a few percent of inputs.  The array form rejects a non-finite
-lane with ``NonFinite`` and gives one ``RangeClampedWarning`` per call if
-any lane is clamped.
+arrays.  ``eval_profile`` runs it in a float loop into an unfrozen record,
+so a single call pays no array overhead; ``eval_profiles`` runs it in a
+masked loop over an array of rho, where each lane stops at its own first
+non-decreasing step.  Both land within 2 ulps of the exact root, but they
+are not bit-identical: ``np.exp`` and the array power differ from
+``math.exp`` and the float power in the last bit on a few percent of inputs.
 
 The t = 0 member has the closed-form solution
 
@@ -68,11 +66,12 @@ class ProfileParams:
             raise ValueError("t must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProfileEval:
     """u' and u'' at a given (t, rho); both are strictly positive.
 
     Floats from ``eval_profile``, equal-shape arrays from ``eval_profiles``.
+    Mutable and unhashable: a slotted, unfrozen record is cheaper to build.
     """
 
     rho: float
@@ -117,12 +116,9 @@ def _newton_step(t, erho, q):
 def _solve_q(t: float, erho: float) -> float:
     """Positive root of f(q) = 2*erho*q^3 + 3*t*q^2 - 3 by monotone Newton.
 
-    Both cubic terms are positive, so the root lies below the smaller of the
-    two single-regime roots m = min((3/(2 e^rho))^{1/3}, t^{-1/2}), where
-    f > 0.  f is increasing and convex on q > 0, so Newton started at m
-    decreases monotonically onto the root; the first step that fails to
-    decrease q marks convergence to rounding.  q strictly decreases through
-    a finite set of doubles, so the loop terminates.
+    The start m = min((3/(2 e^rho))^{1/3}, t^{-1/2}) lies above the root:
+    both cubic terms are positive, so f > 0 at each single-regime root.  The
+    module docstring gives why the loop descends onto the root and terminates.
     """
     q = (1.5 / erho) ** (1.0 / 3.0)
     if t > 0.0:
@@ -170,7 +166,8 @@ def solve_uprime(params: ProfileParams, rho: float) -> float:
 
 def eval_profile(params: ProfileParams, rho: float) -> ProfileEval:
     """u' from the cubic and u'' from (t + u') u' u'' = e^{2 rho}."""
-    rho = _clamp_rho(rho)
+    if not RHO_CLAMP[0] <= rho <= RHO_CLAMP[1]:  # also NaN, which _clamp_rho rejects
+        rho = _clamp_rho(rho)
     if params.t == 0.0:
         return cone_profile(rho)
     erho = math.exp(rho)

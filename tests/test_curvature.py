@@ -7,6 +7,7 @@ import pytest
 
 from conifold_lab.chart import ResolvedPoint, rho
 from conifold_lab.curvature import (
+    _UNIT_STENCILS,
     StencilSpec,
     complex_hessian,
     ricci_form,
@@ -86,6 +87,53 @@ class TestComplexHessian:
             StencilSpec(h=1e-7)
         with pytest.raises(ValueError):
             StencilSpec(order=3)
+
+
+def stencil_oracle(h, order):
+    """The scaled stencil built row by row, in the tables' row order.
+
+    Each entry is formed by the same float operations as the table, so
+    signed zeros agree too: off * (1 or 0) per coordinate, then times h.
+    """
+    if order == 2:
+        off, d1, d2, centre = [-1.0, 1.0], [-1.0 / 2.0, 1.0 / 2.0], [1.0, 1.0], -2.0
+    else:
+        off = [-2.0, -1.0, 1.0, 2.0]
+        d1 = [v / 12.0 for v in (1.0, -8.0, 8.0, -1.0)]
+        d2, centre = [v / 12.0 for v in (-1.0, 16.0, 16.0, -1.0)], -30.0 / 12.0
+    unit = [[float(k == a) for k in range(6)] for a in range(6)]
+    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6) if a // 2 != b // 2]
+    rows = [([0.0] * 6, [[centre * unit[k][l] for l in range(6)] for k in range(6)])]
+    for o, w in zip(off, d2):
+        for a in range(6):
+            rows.append(([o * unit[a][k] for k in range(6)],
+                         [[w * unit[a][k] * unit[a][l] for l in range(6)] for k in range(6)]))
+    for oa, wa in zip(off, d1):
+        for ob, wb in zip(off, d1):
+            for a, b in pairs:
+                rows.append(([oa * unit[a][k] + ob * unit[b][k] for k in range(6)],
+                             [[wa * wb * unit[a][k] * unit[b][l] for l in range(6)]
+                              for k in range(6)]))
+    offsets = np.array([r[0] for r in rows]) * h
+    weights = np.array([r[1] for r in rows]) / h**2
+    return offsets, weights
+
+
+class TestStencilTables:
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("h", [1e-6, 1e-3, 1e-2])
+    def test_scaled_tables_match_oracle_bit_for_bit(self, h, order):
+        offsets, weights = _UNIT_STENCILS[order]
+        want_off, want_w = stencil_oracle(h, order)
+        assert offsets.shape == want_off.shape == ({2: 61, 4: 217}[order], 6)
+        assert (offsets * h).tobytes() == want_off.tobytes()
+        assert (weights / h**2).tobytes() == want_w.tobytes()
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_tables_read_only(self, order):
+        for table in _UNIT_STENCILS[order]:
+            with pytest.raises(ValueError):
+                table.flat[0] = 1.0
 
 
 class TestRicciForm:

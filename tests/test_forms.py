@@ -34,7 +34,6 @@ from conifold_lab.forms import (
     eval_forms,
     fibrewise_trace_H,
     restrict_to_fibre,
-    rotate_fibre,
     vector_norm_sq,
 )
 from conifold_lab.profile import RHO_CLAMP, ProfileParams, eval_profile
@@ -60,6 +59,12 @@ def random_unitary_2():
     raw = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
     q, r = np.linalg.qr(raw)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def rotate_fibre(p: ResolvedPoint, unitary: np.ndarray) -> ResolvedPoint:
+    """Apply a U(2) rotation to the fibre coordinates (trivialization change)."""
+    xi = unitary @ np.array([p.xi1, p.xi2])
+    return ResolvedPoint(z=p.z, xi1=complex(xi[0]), xi2=complex(xi[1]))
 
 
 ALL_KINDS = [FUBINI_STUDY, OMEGA_HAT, TAU, CONIFOLD_FLAT, CONE_METRIC, calabi_family(0.37)]
@@ -422,6 +427,39 @@ class TestCompareForms:
         b = eval_form(OMEGA_HAT, random_omega_point())
         with pytest.raises(BaseMismatch):
             compare_forms(a, b)
+
+    def test_distinct_equal_scalar_bases(self):
+        p = random_omega_point()
+        q = ResolvedPoint(p.z, p.xi1, p.xi2)
+        assert q is not p
+        a = eval_form(calabi_family(0.1), p)
+        assert compare_forms(a, eval_form(CONIFOLD_FLAT, q)) == compare_forms(
+            a, eval_form(CONIFOLD_FLAT, p)
+        )
+
+    def test_scalar_base_against_one_lane_stack(self):
+        # equal coordinates, but one point against a stack of one is a mismatch
+        p = random_omega_point()
+        one = stack([p])
+        for a, b in ((p, one), (one, p)):
+            with pytest.raises(BaseMismatch):
+                compare_forms(eval_form(OMEGA_HAT, a), eval_form(CONIFOLD_FLAT, b))
+
+    def test_nan_coordinate_mismatch(self):
+        # NaN equals nothing, even the same NaN object in two distinct bases
+        p = random_omega_point()
+        m = eval_form(CONIFOLD_FLAT, p).m
+        nan = float("nan")
+        for coords in ((nan, p.xi1, p.xi2), (p.z, complex(nan, 0.0), p.xi2)):
+            a = HermitianForm(base=ResolvedPoint(*coords), m=m)
+            b = HermitianForm(base=ResolvedPoint(*coords), m=m)
+            with pytest.raises(BaseMismatch):
+                compare_forms(a, b)
+        lanes = stack([p, p])
+        bad = ResolvedPoint(np.array([p.z, nan]), lanes.xi1, lanes.xi2)
+        mm = eval_form(CONIFOLD_FLAT, lanes).m
+        with pytest.raises(BaseMismatch):
+            compare_forms(HermitianForm(base=bad, m=mm), HermitianForm(base=bad[:], m=mm))
 
     def test_matches_generalized_eigensolve(self):
         # oracle: LAPACK's generalized Hermitian eigensolver on the pencil (A, B),

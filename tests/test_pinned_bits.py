@@ -1,0 +1,116 @@
+"""Stored bits of the pointwise results: profile, Ricci form, form comparison.
+
+The suite's other checks compare reruns with each other or values with
+tolerances; these compare with ``float.hex`` values stored here, so a change
+that moves any result by one ulp fails.  The values were captured on x86-64
+Linux with CPython 3.11, numpy 2.4.6 and its bundled OpenBLAS LAPACK; a different libm
+or LAPACK may round the last bit differently, and then these must be
+recaptured, not loosened.
+"""
+
+import pytest
+
+from conifold_lab.chart import ResolvedPoint
+from conifold_lab.curvature import StencilSpec, ricci_form
+from conifold_lab.forms import CONIFOLD_FLAT, calabi_family, compare_forms, eval_form
+from conifold_lab.profile import ProfileParams, eval_profile
+
+# (t, rho) -> (u', u'') from the scalar solve
+PROFILE_BITS = {
+    (1e-06, -700.0): ("0x1.0e7500d5ad95cp-1000", "0x1.0e7500d5ad95cp-1000"),
+    (1e-06, -600.0): ("0x1.4601d3ec44feep-856", "0x1.4601d3ec44fefp-856"),
+    (1e-06, -40.0): ("0x1.32204db6d18e4p-48", "0x1.32204daf8ba41p-48"),
+    (1e-06, -3.0): ("0x1.3d468dadbc7f8p-3", "0x1.a7091661fe291p-4"),
+    (1e-06, 0.0): ("0x1.250bf5b78c9c7p+0", "0x1.86baa8240a97cp-1"),
+    (1e-06, 300.0): ("0x1.a9ca0b8de3f9fp+288", "0x1.1bdc07b3ed515p+288"),
+    (0.01, -700.0): ("0x1.5a2f5d3a77c9fp-1007", "0x1.5a2f5d3a77c9ep-1007"),
+    (0.01, -600.0): ("0x1.a14a05057708dp-863", "0x1.a14a05057708dp-863"),
+    (0.01, -40.0): ("0x1.87d76dc01e0a3p-55", "0x1.87d76dc01e09ap-55"),
+    (0.01, -3.0): ("0x1.335c29c108f9dp-3", "0x1.a69d1fc47878ap-4"),
+    (0.01, 0.0): ("0x1.23c5bd5d67e68p+0", "0x1.86b8c271bc6b9p-1"),
+    (0.01, 300.0): ("0x1.a9ca0b8de3f9fp+288", "0x1.1bdc07b3ed515p+288"),
+    (1.0, -700.0): ("0x1.14f2b0fb9307fp-1010", "0x1.14f2b0fb9307fp-1010"),
+    (1.0, -600.0): ("0x1.4dd4d0d12c071p-866", "0x1.4dd4d0d12c071p-866"),
+    (1.0, -40.0): ("0x1.39792499b1a24p-58", "0x1.39792499b1a24p-58"),
+    (1.0, -3.0): ("0x1.915a90a9202d8p-5", "0x1.8b1af7b459479p-5"),
+    (1.0, 0.0): ("0x1.9ce6381713be9p-1", "0x1.5f74ce1dafa79p-1"),
+    (1.0, 300.0): ("0x1.a9ca0b8de3f9fp+288", "0x1.1bdc07b3ed515p+288"),
+}
+
+RICCI_STENCIL = StencilSpec(1e-3, 4)
+# (t, point, the nine entries of the Ricci form in row order, as (real, imag))
+RICCI_BITS = [
+    (1.0, ResolvedPoint(0.3 + 0.2j, 0.5 - 0.1j, 0.2 + 0.4j), [
+        ("0x1.411202aaaaaaap-31", "-0x0.0p+0"),
+        ("-0x1.a3315e38e38e6p-36", "0x1.b0a676aaaaaaap-34"),
+        ("0x1.90a63071c71c8p-34", "-0x1.18e8fa38e38e3p-34"),
+        ("-0x1.a3315e38e38e6p-36", "-0x1.b0a676aaaaaaap-34"),
+        ("-0x1.4e6bfaaaaaaaap-34", "-0x0.0p+0"),
+        ("-0x1.0adeaf5555555p-33", "0x1.80e9de71c71c8p-33"),
+        ("0x1.90a63071c71c8p-34", "0x1.18e8fa38e38e3p-34"),
+        ("-0x1.0adeaf5555555p-33", "-0x1.80e9de71c71c8p-33"),
+        ("-0x1.040902aaaaaaap-32", "-0x0.0p+0"),
+    ]),
+    (0.01, ResolvedPoint(-0.7 + 0.1j, 0.05 + 0.02j, -0.03 + 0.04j), [
+        ("0x1.017df80000000p-29", "-0x0.0p+0"),
+        ("-0x1.53158e38e38e8p-36", "-0x1.7a1431c71c71dp-34"),
+        ("0x1.53158e38e38e5p-35", "-0x1.4a9b6aaaaaaa9p-34"),
+        ("-0x1.53158e38e38e8p-36", "0x1.7a1431c71c71dp-34"),
+        ("0x1.2ea1f55555557p-31", "-0x0.0p+0"),
+        ("-0x1.f42631c71c71cp-33", "0x1.4585555555556p-33"),
+        ("0x1.53158e38e38e5p-35", "0x1.4a9b6aaaaaaa9p-34"),
+        ("-0x1.f42631c71c71cp-33", "-0x1.4585555555556p-33"),
+        ("0x1.21eac00000003p-32", "-0x0.0p+0"),
+    ]),
+]
+
+COMPARE_POINTS = [
+    ResolvedPoint(0.1 - 0.4j, 0.6 + 0.3j, -0.2 + 0.1j),
+    ResolvedPoint(1.5 + 0.5j, 1e-3 + 2e-3j, 3e-3 - 1e-3j),
+    ResolvedPoint(-0.2j, 1e-4j, 2e-5 + 0j),
+]
+# t -> (lmin, lmax) of the family against CONIFOLD_FLAT at each of COMPARE_POINTS
+COMPARE_BITS = {
+    1.0: [
+        ("0x1.892cdc6838c28p-1", "0x1.497df5f80049ep+1"),
+        ("0x1.fffb69abffe92p-1", "0x1.29a279e3081efp+14"),
+        ("0x1.ffffffbcfba90p-1", "0x1.60b0b19350489p+26"),
+    ],
+    0.1: [
+        ("0x1.d183fbcd581dep-1", "0x1.75947dff0001ap+0"),
+        ("0x1.94531056149acp+1", "0x1.dcfb092c2273ep+10"),
+        ("0x1.94c57da089000p+1", "0x1.1a26fa95bca33p+23"),
+    ],
+    0.01: [
+        ("0x1.d32b2da1392dep-1", "0x1.609778ed87f65p+0"),
+        ("0x1.357befc1e4049p+3", "0x1.909dec492087ap+7"),
+        ("0x1.3fff68c88a400p+3", "0x1.c372c6d0befecp+19"),
+    ],
+}
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+@pytest.mark.parametrize("t, r", sorted(PROFILE_BITS))
+def test_scalar_profile_bits(t, r):
+    prof = eval_profile(ProfileParams(t), r)
+    assert (_bits(prof.uprime), _bits(prof.usecond)) == PROFILE_BITS[t, r]
+
+
+@pytest.mark.parametrize("t, p, entries", RICCI_BITS)
+def test_ricci_form_bits(t, p, entries):
+    m = ricci_form(calabi_family(t), p, RICCI_STENCIL).m
+    got = [(_bits(v.real), _bits(v.imag)) for v in m.ravel()]
+    assert got == entries
+
+
+@pytest.mark.parametrize("t", sorted(COMPARE_BITS))
+def test_compare_forms_bits(t):
+    got = [
+        tuple(_bits(v) for v in compare_forms(eval_form(calabi_family(t), p),
+                                              eval_form(CONIFOLD_FLAT, p)))
+        for p in COMPARE_POINTS
+    ]
+    assert got == COMPARE_BITS[t]

@@ -133,10 +133,11 @@ class TestSolveUprime:
             assert abs(off) <= 2.0, (t, r, off)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(NonFinite):
-            solve_uprime(ProfileParams(0.5), float("-inf"))
-        with pytest.raises(NonFinite):
-            solve_uprime(ProfileParams(0.5), float("nan"))
+        # non-finite rho fails eval_profile's in-range test and reaches the clamp's check
+        for t in (0.0, 0.5):
+            for bad in (float("-inf"), float("inf"), float("nan")):
+                with pytest.raises(NonFinite):
+                    solve_uprime(ProfileParams(t), bad)
 
     def test_clamp_warns(self):
         for t in (0.0, 0.5):
@@ -148,6 +149,11 @@ class TestSolveUprime:
             prof = eval_profile(ProfileParams(0.5), -800.0)
         assert prof.rho == -700.0
         assert prof.uprime == solve_uprime(ProfileParams(0.5), -700.0)
+        # the next doubles outside the clamp are clamped
+        for r in (math.nextafter(RHO_CLAMP[0], -math.inf), math.nextafter(RHO_CLAMP[1], math.inf)):
+            with pytest.warns(RangeClampedWarning):
+                prof = eval_profile(ProfileParams(0.5), r)
+            assert prof.rho == min(max(r, RHO_CLAMP[0]), RHO_CLAMP[1])
 
 
 class TestLanes:
@@ -325,3 +331,6 @@ class TestParams:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eval_profile(ProfileParams(0.5), -600.0)
+            for t in (0.0, 0.5):
+                for r in RHO_CLAMP:  # the clamp's edges are inside
+                    assert eval_profile(ProfileParams(t), r).rho == r

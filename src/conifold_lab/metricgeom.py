@@ -44,9 +44,13 @@ depend on how the rows are grouped.  ``CONIFOLD_LAB_THREADS`` caps the
 worker count (default min(4, usable CPUs)); at width 1, or with a single
 chunk, the chunks run in the calling process and no process is started.
 
-Sampling is stratified and quasi-random (seeded Halton): uniform in rho
-down to a fixed depth below the domain top, uniform in the base and fibre
-phases, plus a ring hugging the boundary and a batch on the depth floor.
+Sampling is stratified and quasi-random: uniform in rho down to a fixed
+depth below the domain top, uniform in the base and fibre phases, plus a
+ring hugging the boundary and a batch on the depth floor.  The points come
+from a seeded Halton sequence with Owen's random digit scrambling, built in
+the package (``_halton``) so that start-up does not import
+``scipy.stats``; the tests hold it bit for bit to scipy's scrambled Halton,
+the oracle it reproduces.
 The unsampled stub between the floor and the zero section is charged its
 closed-form radial length, available as ``radial_stub``.
 """
@@ -64,7 +68,6 @@ import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.spatial
 import scipy.special
-import scipy.stats.qmc
 
 from .chart import OMEGA, DomainSpec, ResolvedPoint, contract, rho
 from .chart import second_chart  # noqa: F401  (unused; bench/tracing.py wraps it by name)
@@ -197,6 +200,31 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
+def _halton(n: int, seed: int) -> np.ndarray:
+    """n scrambled Halton points in [0, 1)^6 (Owen 2017, arXiv:1706.02808).
+
+    Equal bit for bit to ``scipy.stats.qmc.Halton(d=6, scramble=True,
+    seed=seed).random(n)``: the same digit permutations drawn in the same
+    order, and the same sum ``acc += perm[digit] * inv`` with ``inv /= base``.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((n, 6))
+    for col, base in enumerate((2, 3, 5, 7, 11, 13)):
+        perms = np.tile(np.arange(base), (math.ceil(54 / math.log2(base)) - 1, 1))
+        for perm in perms:
+            rng.shuffle(perm)
+        k, acc, inv = np.arange(n), np.zeros(n), 1.0 / base
+        for perm in perms:
+            if k.any():
+                k, digit = np.divmod(k, base)
+                acc += perm[digit] * inv
+            else:  # every remaining digit is 0
+                acc += perm[0] * inv
+            inv /= base
+        out[:, col] = acc
+    return out
+
+
 def sample_domain(d: DomainSpec, n: int, seed: int, rho_depth: float = RHO_DEPTH) -> ResolvedPoint:
     """Stratified quasi-random sample of n points of the domain (off P0).
 
@@ -223,8 +251,7 @@ def sample_domain(d: DomainSpec, n: int, seed: int, rho_depth: float = RHO_DEPTH
     n_floor = max(2, n // 10)
     n_bulk = max(0, n - n_ring - n_floor)
 
-    halton = scipy.stats.qmc.Halton(d=6, scramble=True, seed=seed)
-    u = halton.random(n)
+    u = _halton(n, seed)
     eps = 1e-12
     u = np.clip(u, eps, 1.0 - eps)
 

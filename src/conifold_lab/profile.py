@@ -23,13 +23,18 @@ decrease q, which must happen since q runs down a finite set of doubles.
 The closed-form cubic formula is deliberately not used: it cancels
 catastrophically for small e^{2 rho}.
 
-The Newton step is written once, in arithmetic valid on floats and on
-arrays.  ``eval_profile`` runs it in a float loop into an unfrozen record,
-so a single call pays no array overhead; ``eval_profiles`` runs it in a
-masked loop over an array of rho, where each lane stops at its own first
-non-decreasing step.  Both land within 2 ulps of the exact root, but they
-are not bit-identical: ``np.exp`` and the array power differ from
-``math.exp`` and the float power in the last bit on a few percent of inputs.
+Two loops solve the cubic, and each writes out the same Newton step and
+the same u'' formula: ``eval_profile`` runs a float loop into an unfrozen
+record, so a single call pays no helper calls and no array overhead;
+``eval_profiles`` runs a masked loop over an array of rho, where each lane
+stops at its own first non-decreasing step.  u'' is evaluated as
+(e^rho / (t + u')) (e^rho / u'), so neither e^{2 rho} nor e^{-2 rho} is ever
+formed.  Both loops land within 2 ulps of the exact root, but they are not
+bit-identical: ``np.exp`` and the array power differ from ``math.exp`` and
+the float power in the last bit on a few percent of inputs.  The tests that
+hold the two copies together are ``test_pinned_bits.py``, both
+``test_exact_root_within_two_ulps`` and
+``TestLanes.test_matches_scalar_eval_profile``.
 
 The t = 0 member has the closed-form solution
 
@@ -62,7 +67,7 @@ class ProfileParams:
     t: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and 0.0 <= self.t <= 1.0):
+        if not 0.0 <= self.t <= 1.0:  # also NaN and +-inf
             raise ValueError("t must lie in [0, 1]")
 
 
@@ -107,12 +112,6 @@ def _clamp_rhos(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _newton_step(t, erho, q):
-    """One Newton step on f(q) = 2*erho*q^3 + 3*t*q^2 - 3; floats or arrays."""
-    f = (2.0 * erho * q + 3.0 * t) * q * q - 3.0
-    return q - f / (q * (6.0 * erho * q + 6.0 * t))
-
-
 def _solve_q(t: float, erho: float) -> float:
     """Positive root of f(q) = 2*erho*q^3 + 3*t*q^2 - 3 by monotone Newton.
 
@@ -125,15 +124,15 @@ def _solve_q(t: float, erho: float) -> float:
         q = min(q, 1.0 / math.sqrt(t))
     q *= 1.0 + 1e-12
     while True:
-        q_new = _newton_step(t, erho, q)
+        q_new = q - ((2.0 * erho * q + 3.0 * t) * q * q - 3.0) / (q * (6.0 * erho * q + 6.0 * t))
         if not q_new < q:
             return q
         q = q_new
 
 
 def _solve_q_lanes(t, erho: np.ndarray) -> np.ndarray:
-    """``_solve_q`` on every lane of erho, from the same start; t > 0 is a
-    float or an array of lanes.
+    """``_solve_q`` on every lane of erho, from the same start and with the
+    same step; t > 0 is a float or an array of lanes.
 
     A lane leaves the loop at its first step that does not decrease q and
     keeps that q, exactly as the float loop returns.
@@ -141,17 +140,10 @@ def _solve_q_lanes(t, erho: np.ndarray) -> np.ndarray:
     q = np.minimum((1.5 / erho) ** (1.0 / 3.0), 1.0 / np.sqrt(t)) * (1.0 + 1e-12)
     live = np.ones(q.shape, dtype=bool)
     while live.any():
-        q_new = _newton_step(t, erho, q)
+        q_new = q - ((2.0 * erho * q + 3.0 * t) * q * q - 3.0) / (q * (6.0 * erho * q + 6.0 * t))
         live &= q_new < q
         q = np.where(live, q_new, q)
     return q
-
-
-def _from_root(rho, t, erho, q) -> ProfileEval:
-    """u' = e^rho q and u'' from the derivative identity; floats or arrays."""
-    up = erho * q
-    # Factored so neither e^{2 rho} nor e^{-2 rho} is ever formed.
-    return ProfileEval(rho=rho, uprime=up, usecond=(erho / (t + up)) * (erho / up))
 
 
 def _cone(rho, g) -> ProfileEval:
@@ -168,10 +160,12 @@ def eval_profile(params: ProfileParams, rho: float) -> ProfileEval:
     """u' from the cubic and u'' from (t + u') u' u'' = e^{2 rho}."""
     if not RHO_CLAMP[0] <= rho <= RHO_CLAMP[1]:  # also NaN, which _clamp_rho rejects
         rho = _clamp_rho(rho)
-    if params.t == 0.0:
+    t = params.t
+    if t == 0.0:
         return cone_profile(rho)
     erho = math.exp(rho)
-    return _from_root(rho, params.t, erho, _solve_q(params.t, erho))
+    up = erho * _solve_q(t, erho)
+    return ProfileEval(rho, up, (erho / (t + up)) * (erho / up))
 
 
 def eval_profiles(params: ProfileParams, rho) -> ProfileEval:
@@ -184,7 +178,8 @@ def eval_profiles(params: ProfileParams, rho) -> ProfileEval:
     if params.t == 0.0:
         return _cone(rho, np.exp(2.0 * rho / 3.0))
     erho = np.exp(rho)
-    return _from_root(rho, params.t, erho, _solve_q_lanes(params.t, erho))
+    up = erho * _solve_q_lanes(params.t, erho)
+    return ProfileEval(rho=rho, uprime=up, usecond=(erho / (params.t + up)) * (erho / up))
 
 
 def cone_profile(rho: float) -> ProfileEval:

@@ -1,9 +1,14 @@
 """CLI runner: fits, reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conifold_lab
 from conifold_lab import __version__, metricgeom
 from conifold_lab.cli import ExperimentConfig, fit_power_law, main, run
 from conifold_lab.errors import ConfigError, NonPositiveData
@@ -31,6 +36,17 @@ class TestFitPowerLaw:
             fit_power_law([(1.0, 1.0), (0.5, -2.0), (0.1, 1.0)])
         with pytest.raises(NonPositiveData):
             fit_power_law([(0.0, 1.0), (0.5, 2.0), (0.1, 1.0)])
+
+
+class TestStartUp:
+    def test_import_loads_no_scipy_stats_or_integrate(self):
+        # a fresh interpreter, since this one has both loaded already
+        code = ("import sys, conifold_lab.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))")
+        env = {**os.environ, "PYTHONPATH": str(Path(conifold_lab.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestConfig:

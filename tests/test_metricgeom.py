@@ -32,6 +32,7 @@ from conifold_lab.metricgeom import (
     _edge_weights,
     _emst,
     _graph_edges,
+    _halton,
     _symmetric_graph,
     build_cloud,
     build_clouds,
@@ -280,6 +281,14 @@ class TestSampling:
         b = sample_domain(OMEGA, 50, seed=11)
         for c in ("z", "xi1", "xi2"):
             np.testing.assert_array_equal(getattr(a, c), getattr(b, c))
+
+    def test_halton_equals_scipy(self):
+        # scipy's scrambled Halton is the oracle: the test seeds, and the CLI seeds the
+        # benchmark runs (42-241), at every sample size they use
+        for seed in [*range(242), 1001, 1003, 9173]:
+            for n in (1, 64, 500, 1000, 2000):
+                want = scipy.stats.qmc.Halton(d=6, scramble=True, seed=seed).random(n)
+                np.testing.assert_array_equal(_halton(n, seed), want)
 
     @pytest.mark.parametrize(
         "domain, n, seed, depth",

@@ -326,6 +326,9 @@ class TestParams:
             ProfileParams(-0.1)
         with pytest.raises(ValueError):
             ProfileParams(1.5)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                ProfileParams(bad)
 
     def test_no_warning_inside_clamp(self):
         with warnings.catch_warnings():

@@ -40,9 +40,10 @@ each chunk is reduced to its per-t maxima of the discrepancy, so memory
 grows as O(chunk * n) rather than O(n^2).  The chunks run on forked worker
 processes, which inherit the graphs built in the parent and return only
 those maxima; the parent takes the maximum over chunks, which does not
-depend on how the rows are grouped.  ``CONIFOLD_LAB_THREADS`` caps the
-worker count (default min(4, usable CPUs)); at width 1, or with a single
-chunk, the chunks run in the calling process and no process is started.
+depend on how the rows are grouped.  The worker count is the smallest of
+4, the CPUs in the process's affinity mask and the chunk count, so
+``taskset -c`` narrows it; at 1 the chunks run in the calling process and
+no process is started.
 
 Sampling is stratified and quasi-random: uniform in rho down to a fixed
 depth below the domain top, uniform in the base and fibre phases, plus a
@@ -71,7 +72,7 @@ import scipy.special
 
 from .chart import OMEGA, DomainSpec, ResolvedPoint, contract, rho
 from .chart import second_chart  # noqa: F401  (unused; bench/tracing.py wraps it by name)
-from .errors import ConfigError, DegenerateMetric, OnZeroSection
+from .errors import DegenerateMetric, OnZeroSection
 from .forms import CONE_METRIC, FormKind, calabi_family, eval_forms
 from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 from .profile import ProfileParams, eval_profile
@@ -99,8 +100,6 @@ class MetricCloud:
     points: ResolvedPoint
     kind: FormKind
     graph: scipy.sparse.csr_matrix
-    graph_k: int
-    seed: int
 
     @property
     def dist(self) -> np.ndarray:
@@ -415,8 +414,7 @@ def build_clouds(
     edges = _graph_edges(points, graph_k)
     graph = _symmetric_graph(n, edges)
     return [
-        MetricCloud(points=points, kind=kind, graph=graph(_edge_weights(kind, points, edges)),
-                    graph_k=graph_k, seed=seed)
+        MetricCloud(points=points, kind=kind, graph=graph(_edge_weights(kind, points, edges)))
         for kind in kinds
     ]
 
@@ -464,18 +462,7 @@ def cloud_diameter(c: MetricCloud) -> float:
 
 
 def _max_workers() -> int:
-    """Worker-process cap: ``CONIFOLD_LAB_THREADS`` (values < 1 read as 1).
-
-    Unset, it is min(4, number of CPUs this process may run on).  Raises
-    ``ConfigError`` when the variable is not an integer.
-    """
-    env = os.environ.get("CONIFOLD_LAB_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"CONIFOLD_LAB_THREADS={env!r} is not an integer") from exc
-        return max(1, cap)
+    """Worker-process cap: min(4, CPUs in this process's affinity mask)."""
     return min(4, len(os.sched_getaffinity(0)))
 
 
@@ -525,12 +512,8 @@ def gh_upper_bounds(
     on their grouping, so the bounds equal those of the serial loop, which
     runs in this process, starting none, when that width is 1.  A worker's
     ``DegenerateMetric`` reaches the caller as it would serially.  Raises
-    ``ValueError`` unless every t lies in (0, 1], n >= 10 and graph_k >= 4,
-    and ``ConfigError`` for a non-integer ``CONIFOLD_LAB_THREADS``.
+    ``ValueError`` unless every t lies in (0, 1], n >= 10 and graph_k >= 4.
     """
-    for t in t_grid:
-        if not (0.0 < t <= 1.0):
-            raise ValueError("t must lie in (0, 1]")
     starts = range(0, n, _CHUNK)
     workers = min(_max_workers(), len(starts))
     kinds = [CONE_METRIC] + [calabi_family(t) for t in t_grid]

@@ -188,27 +188,20 @@ class TestMainAndConfigFile:
     def test_missing_experiment(self):
         assert main([]) == 2
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CONIFOLD_LAB_THREADS", "2")
+    def test_gh_converge_at_width_one(self, tmp_path, monkeypatch):
         out = tmp_path / "r.json"
-        code = main(
-            ["profile-table", "--t-grid", "1,0.5", "--n", "12", "--out", str(out)]
-        )
-        assert code == 0
-        monkeypatch.setenv("CONIFOLD_LAB_THREADS", "zebra")
-        assert main(
-            ["gh-converge", "--t-grid", "1,0.5", "--n", "60", "--out", str(out)]
-        ) == 2
-        with pytest.raises(ConfigError):
-            metricgeom.gh_upper_bounds([1.0], n=60, seed=0, graph_k=6)
+        argv = ["gh-converge", "--t-grid", "1,0.5", "--n", "300", "--out", str(out)]
+        code = main(argv)
+        pooled = out.read_bytes()
 
         def no_process(*args, **kwargs):
-            raise AssertionError("a cap below 1 must run serially")
+            raise AssertionError("width 1 started a process")
 
-        # two chunks, yet a cap of 0 reads as 1: no process is started
-        monkeypatch.setenv("CONIFOLD_LAB_THREADS", "0")
+        # two chunks per seed, yet at width 1 every chunk runs in this process
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: 1)
         monkeypatch.setattr(metricgeom.multiprocessing, "get_context", no_process)
-        assert len(metricgeom.gh_upper_bounds([1.0], n=300, seed=0, graph_k=6)) == 1
+        assert main(argv) == code
+        assert out.read_bytes() == pooled
 
 
 class TestEstimatesGreen:

@@ -2,8 +2,12 @@
 
 import math
 import multiprocessing
+import os
 import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,8 +346,6 @@ class TestCloud:
             points=stack([ResolvedPoint(0, 0.5, 0)]),
             kind=CONIFOLD_FLAT,
             graph=_symmetric_graph(1, np.empty((0, 2), dtype=np.intp))(np.empty(0)),
-            graph_k=4,
-            seed=0,
         )
         assert cloud_diameter(c) == 0.0
 
@@ -419,8 +421,6 @@ class TestCloudDiameter:
             points=sample_domain(OMEGA, 4, 0),
             kind=CONIFOLD_FLAT,
             graph=_symmetric_graph(4, np.array([[0, 1], [2, 3]]))(np.ones(2)),
-            graph_k=4,
-            seed=0,
         )
         with pytest.raises(DegenerateMetric):
             cloud_diameter(c)
@@ -597,19 +597,18 @@ class TestGH:
             forks.append(method)
             return real_context(method)
 
-        monkeypatch.delenv("CONIFOLD_LAB_THREADS", raising=False)
         monkeypatch.setattr(metricgeom.multiprocessing, "get_context", spy)
         pooled = [e.bound for e in gh_upper_bounds(t_grid, n=n, seed=5, graph_k=8)]
         width = min(metricgeom._max_workers(), -(-n // _CHUNK))
         assert forks == (["fork"] if width > 1 else [])
         # up to one worker per chunk, more workers than this machine may have cores
-        monkeypatch.setenv("CONIFOLD_LAB_THREADS", "4")
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: 4)
         wide = [e.bound for e in gh_upper_bounds(t_grid, n=n, seed=5, graph_k=8)]
 
         def no_process(*args, **kwargs):
             raise AssertionError("the serial path started a process")
 
-        monkeypatch.setenv("CONIFOLD_LAB_THREADS", "1")
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: 1)
         monkeypatch.setattr(metricgeom.multiprocessing, "get_context", no_process)
         serial = [e.bound for e in gh_upper_bounds(t_grid, n=n, seed=5, graph_k=8)]
         assert serial == pooled == wide
@@ -626,7 +625,7 @@ class TestGH:
         def hung(signum, frame):
             raise TimeoutError("gh_upper_bounds did not return")
 
-        monkeypatch.delenv("CONIFOLD_LAB_THREADS", raising=False)
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: 2)
         monkeypatch.setattr(metricgeom, "_graph_edges", split)
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
@@ -640,7 +639,7 @@ class TestGH:
     def test_memory_stays_linear_in_n(self, monkeypatch):
         # the streamed reduction holds O(chunk * n); a dense n x n float matrix alone is 8 MB.
         # Width 1 keeps the chunks in this process, where tracemalloc sees them.
-        monkeypatch.setenv("CONIFOLD_LAB_THREADS", "1")
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: 1)
         tracemalloc.start()
         try:
             gh_upper_bounds([1.0, 0.1, 0.01], n=1000, seed=1)
@@ -648,6 +647,22 @@ class TestGH:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+    def test_one_cpu_mask_starts_no_process(self):
+        # a fresh interpreter restricted to one CPU: two chunks, yet width 1
+        code = (
+            "import os\n"
+            "from conifold_lab import metricgeom\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "def no_process(*args, **kwargs):\n"
+            "    raise AssertionError('a one-CPU mask started a process')\n"
+            "metricgeom.multiprocessing.get_context = no_process\n"
+            "print(len(metricgeom.gh_upper_bounds([1.0], n=300, seed=0, graph_k=6)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(metricgeom.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "1"
 
 
 class TestOmegaDeltaShrinking:

@@ -123,11 +123,7 @@ class TestSolveUprime:
                 assert res < 1e-12
 
     def test_exact_root_within_two_ulps(self):
-        rng = np.random.default_rng(2024)
-        pairs = [(t, r) for t in (1e-6, 1e-3, 1.0) for r in (-700.0, -40.0, 0.0, 300.0)]
-        for _ in range(4000):
-            pairs.append((float(10.0 ** rng.uniform(-6.0, 0.0)), float(rng.uniform(-700.0, 300.0))))
-        for t, r in pairs:
+        for t, r in exact_root_pairs():
             erho = math.exp(r)
             off = root_offset_ulps(t, erho, _solve_q(t, erho))
             assert abs(off) <= 2.0, (t, r, off)

@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .errors import ConfigError, NonPositiveData
 from .metricgeom import _max_workers  # noqa: F401  (unused; bench/worker.py calls it by name)
 from .profile import ProfileParams, cubic_residual, eval_profiles
 from .profile import eval_profile  # noqa: F401  (unused; bench/tracing.py wraps it by name)
-
-EXPERIMENTS = ("estimates", "diam-scaling", "gh-converge", "ricci-audit", "profile-table")
 
 DEFAULT_TOLERANCES = {
     "cubic_residual": 1e-9,
@@ -110,6 +108,10 @@ def _check(name: str, observed: float, bound: float, ok: bool) -> dict:
     return {"name": name, "pass": bool(ok), "observed": float(observed), "bound": float(bound)}
 
 
+def _at_most(name: str, observed: float, bound: float) -> dict:
+    return _check(name, observed, bound, observed <= bound)
+
+
 def _report_only(name: str, observed: float) -> dict:
     # recorded value, not asserted against anything
     return {"name": name, "pass": True, "observed": float(observed), "bound": float(observed)}
@@ -138,10 +140,8 @@ def _exp_profile_table(cfg: ExperimentConfig):
             for r, up, us, c, pr in columns
         ]
     asserts = [
-        _check("cubic_residual_max", max_cubic, cfg.tol("cubic_residual"),
-               max_cubic <= cfg.tol("cubic_residual")),
-        _check("ricci_potential_residual_max", max_pot, cfg.tol("ricci_potential_residual"),
-               max_pot <= cfg.tol("ricci_potential_residual")),
+        _at_most("cubic_residual_max", max_cubic, cfg.tol("cubic_residual")),
+        _at_most("ricci_potential_residual_max", max_pot, cfg.tol("ricci_potential_residual")),
     ]
     return rows, asserts
 
@@ -163,8 +163,7 @@ def _exp_diam_scaling(cfg: ExperimentConfig):
         _check("diam_exponent", slope, tol, abs(slope - 0.5) <= tol),
         _report_only("diam_amplitude", amp),
         _report_only("diam_fit_r_squared", r_sq),
-        _check("diam_t13_max_at_t1", max(t13), t13[0] * (1.0 + 1e-12),
-               max(t13) <= t13[0] * (1.0 + 1e-12)),
+        _at_most("diam_t13_max_at_t1", max(t13), t13[0] * (1.0 + 1e-12)),
         _report_only("diam_t13_constant", max(t13)),
     ]
     return rows, asserts
@@ -177,29 +176,22 @@ def _exp_gh_converge(cfg: ExperimentConfig):
         seeds,
     )
 
-    rows = []
-    for s, ests in zip(seeds, per_seed):
-        for e in ests:
-            rows.append({"seed": s, "t": e.t, "bound": e.bound})
-
-    asserts = []
-    slack = cfg.tol("gh_monotone_slack")
+    rows, asserts = [], []
     ratio = cfg.tol("gh_ratio")
     for s, ests in zip(seeds, per_seed):
+        rows += [{"seed": s, "t": e.t, "bound": e.bound} for e in ests]
         bounds = [e.bound for e in ests]
         worst = 0.0
         for prev, nxt in zip(bounds, bounds[1:]):
             if prev > 0:
                 worst = max(worst, nxt / prev - 1.0)
-        asserts.append(_check(f"gh_monotone_seed{s}", worst, slack, worst <= slack))
+        asserts.append(_at_most(f"gh_monotone_seed{s}", worst, cfg.tol("gh_monotone_slack")))
         obs_ratio = bounds[-1] / bounds[0] if bounds[0] > 0 else math.inf
         asserts.append(_check(f"gh_ratio_seed{s}", obs_ratio, ratio, obs_ratio < ratio))
-    spread_tol = cfg.tol("gh_seed_spread")
     for j, t in enumerate(cfg.t_grid):
         vals = [ests[j].bound for ests in per_seed]
         spread = (max(vals) - min(vals)) / max(vals) if max(vals) > 0 else 0.0
-        asserts.append(_check(f"gh_seed_spread_t{t:g}", spread, spread_tol,
-                              spread <= spread_tol))
+        asserts.append(_at_most(f"gh_seed_spread_t{t:g}", spread, cfg.tol("gh_seed_spread")))
     return rows, asserts
 
 
@@ -218,12 +210,10 @@ def _exp_ricci_audit(cfg: ExperimentConfig):
             for p in pts
         ]
         rows.append({"t": t, "potential_residual": pot, "ricci_matrix_max": max(mats)})
-        asserts.append(_check(f"ricci_potential_t{t:g}", pot,
-                              cfg.tol("ricci_potential_residual"),
-                              pot <= cfg.tol("ricci_potential_residual")))
-        asserts.append(_check(f"ricci_matrix_t{t:g}", max(mats),
-                              cfg.tol("ricci_matrix_max_entry"),
-                              max(mats) <= cfg.tol("ricci_matrix_max_entry")))
+        asserts.append(_at_most(f"ricci_potential_t{t:g}", pot,
+                                cfg.tol("ricci_potential_residual")))
+        asserts.append(_at_most(f"ricci_matrix_t{t:g}", max(mats),
+                                cfg.tol("ricci_matrix_max_entry")))
     control_pt = ResolvedPoint(0.0, 0.5, 0.0)
     control = float(np.abs(curvature.ricci_form(forms.OMEGA_HAT, control_pt, stencil).m).max())
     asserts.append(_check("ricci_control_omega_hat", control,
@@ -252,6 +242,7 @@ def _estimate_row(**values) -> dict:
 
 
 def _estimates_for_t(t: float, sub: ResolvedPoint) -> dict:
+    """The estimate row of one t, without the small-neighbourhood columns."""
     kind = forms.calabi_family(t)
     r = rho(sub)
     usecond = eval_profiles(ProfileParams(t), r).usecond
@@ -261,12 +252,12 @@ def _estimates_for_t(t: float, sub: ResolvedPoint) -> dict:
     lmin, lmax = forms.compare_forms(
         forms.eval_form(kind, sub), forms.eval_form(forms.CONIFOLD_FLAT, sub)
     )
-    return {"t": t,
-            "worst_v": float((np.abs(nv - usecond) / usecond).max()),
-            "sup_w": float((np.exp(0.5 * r) * nw).max()),
-            "sup_h": float((np.exp(rho_alpha(sub, 1)) * trace_h).max()),
-            "c0": float(lmin.min()),
-            "c1": float((lmax * np.exp(r)).max())}
+    return _estimate_row(t=t,
+                         norm_V_rel=float((np.abs(nv - usecond) / usecond).max()),
+                         sup_w_scaled=float((np.exp(0.5 * r) * nw).max()),
+                         sup_fibre_trace_scaled=float((np.exp(rho_alpha(sub, 1)) * trace_h).max()),
+                         c0=float(lmin.min()),
+                         c1=float((lmax * np.exp(r)).max()))
 
 
 def _exp_estimates(cfg: ExperimentConfig):
@@ -278,8 +269,7 @@ def _exp_estimates(cfg: ExperimentConfig):
     tol = cfg.tol("sandwich_min_eigenvalue")
     asserts.append(_check("fibre_sandwich_lower", lo_min, tol, lo_min >= tol))
     asserts.append(_check("fibre_sandwich_upper", up_min, tol, up_min >= tol))
-    asserts.append(_check("fibre_trace_hat", tr_max, cfg.tol("trace_bound_hat"),
-                          tr_max <= cfg.tol("trace_bound_hat")))
+    asserts.append(_at_most("fibre_trace_hat", tr_max, cfg.tol("trace_bound_hat")))
 
     # norm identities, vertical collapse and tangential comparison, per t
     rel_tol = cfg.tol("norm_identity_rel")
@@ -287,36 +277,28 @@ def _exp_estimates(cfg: ExperimentConfig):
     e_rho = np.exp(rho(sub))
     nv = forms.vector_norm_sq(forms.OMEGA_HAT, forms.V, sub)
     worst_hat = float((np.abs(nv - e_rho) / e_rho).max())
-    asserts.append(_check("norm_V_hat_rel", worst_hat, rel_tol, worst_hat <= rel_tol))
+    asserts.append(_at_most("norm_V_hat_rel", worst_hat, rel_tol))
 
     per_t = [_estimates_for_t(t, sub) for t in cfg.t_grid]
-    for res in per_t:
-        t = res["t"]
-        rows.append(_estimate_row(t=t, norm_V_rel=res["worst_v"], sup_w_scaled=res["sup_w"],
-                                  sup_fibre_trace_scaled=res["sup_h"], c0=res["c0"],
-                                  c1=res["c1"]))
-        asserts.append(_check(f"norm_V_family_rel_t{t:g}", res["worst_v"], rel_tol,
-                              res["worst_v"] <= rel_tol))
-        asserts.append(_report_only(f"vertical_collapse_sup_t{t:g}", res["sup_w"]))
-        asserts.append(_report_only(f"fibre_trace_sup_t{t:g}", res["sup_h"]))
-        asserts.append(_check(f"tangential_lower_t{t:g}", res["c0"], 0.0, res["c0"] > 0.0))
-    c0s = [r["c0"] for r in per_t]
-    c1s = [r["c1"] for r in per_t]
-    factor = cfg.tol("sandwich_stability_factor")
-    asserts.append(_check("tangential_c0_stability", max(c0s) / min(c0s), factor,
-                          max(c0s) / min(c0s) <= factor))
-    asserts.append(_check("tangential_c1_stability", max(c1s) / min(c1s), factor,
-                          max(c1s) / min(c1s) <= factor))
+    for row in per_t:
+        t = row["t"]
+        rows.append(row)
+        asserts.append(_at_most(f"norm_V_family_rel_t{t:g}", row["norm_V_rel"], rel_tol))
+        asserts.append(_report_only(f"vertical_collapse_sup_t{t:g}", row["sup_w_scaled"]))
+        asserts.append(_report_only(f"fibre_trace_sup_t{t:g}", row["sup_fibre_trace_scaled"]))
+        asserts.append(_check(f"tangential_lower_t{t:g}", row["c0"], 0.0, row["c0"] > 0.0))
+    for c in ("c0", "c1"):
+        spread = max(r[c] for r in per_t) / min(r[c] for r in per_t)
+        asserts.append(_at_most(f"tangential_{c}_stability", spread,
+                                cfg.tol("sandwich_stability_factor")))
 
     # radial path lengths: closed form at t = 0 and uniform boundedness
     closed = (1.5) ** (2.0 / 3.0)
     r0 = metricgeom.radial_length_from_rho(0.0, 0.0)
-    tol_abs = cfg.tol("radial_closed_form_abs")
-    asserts.append(_check("radial_closed_form", abs(r0 - closed), tol_abs,
-                          abs(r0 - closed) <= tol_abs))
-    slack = cfg.tol("radial_uniform_slack")
+    asserts.append(_at_most("radial_closed_form", abs(r0 - closed),
+                            cfg.tol("radial_closed_form_abs")))
     worst = max(metricgeom.radial_length_from_rho(0.0, t) for t in cfg.t_grid)
-    asserts.append(_check("radial_uniform_bound", worst, r0 + slack, worst <= r0 + slack))
+    asserts.append(_at_most("radial_uniform_bound", worst, r0 + cfg.tol("radial_uniform_slack")))
 
     # shrinking small neighbourhoods: find (delta, t) with sampled diameter < eps
     eps = cfg.tol("omega_delta_eps")
@@ -346,12 +328,13 @@ def _exp_estimates(cfg: ExperimentConfig):
 
 
 _RUNNERS = {
-    "profile-table": _exp_profile_table,
+    "estimates": _exp_estimates,
     "diam-scaling": _exp_diam_scaling,
     "gh-converge": _exp_gh_converge,
     "ricci-audit": _exp_ricci_audit,
-    "estimates": _exp_estimates,
+    "profile-table": _exp_profile_table,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +363,7 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "experiment": cfg.experiment,
-        "t_grid": list(cfg.t_grid),
-        "n_samples": cfg.n_samples,
-        "graph_k": cfg.graph_k,
-        "seed": cfg.seed,
-        "tolerances": {k: cfg.tolerances[k] for k in sorted(cfg.tolerances)},
-        "output_path": cfg.output_path,
-        "format": cfg.format,
-    }
+    return {**asdict(cfg), "tolerances": dict(sorted(cfg.tolerances.items()))}
 
 
 def run(config: ExperimentConfig) -> int:
@@ -412,10 +386,9 @@ def run(config: ExperimentConfig) -> int:
     except (OSError, ValueError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    ok = True
+    ok = all(a["pass"] for a in asserts)
     for a in asserts:
         status = "PASS" if a["pass"] else "FAIL"
-        ok = ok and a["pass"]
         print(f"{status} {a['name']}: observed={_fmt(a['observed'])} bound={_fmt(a['bound'])}")
     print(f"{'OK' if ok else 'INVARIANT FAILURE'}: report written to {config.output_path}")
     return 0 if ok else 1
@@ -450,50 +423,47 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+#: config-file key, also the dest of its flag -> (ExperimentConfig field, cast of the text)
+_CONFIG_KEYS = {
+    "t_grid": ("t_grid", _parse_t_grid),
+    "n": ("n_samples", int),
+    "k": ("graph_k", int),
+    "seed": ("seed", int),
+    "out": ("output_path", str),
+    "format": ("format", str),
+}
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     file_vals = _read_config_file(args.config) if args.config else {}
 
-    def pick(cli_val, key, cast, default):
-        if cli_val is not None:
-            return cli_val
-        if key in file_vals:
-            try:
-                return cast(file_vals[key])
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"bad config value for {key}: {file_vals[key]!r}") from exc
-        return default
-
+    # every tolerance as (name=value, its text in an error): file tol_ keys, then --tol flags
+    items = [(f"{k[4:]}={v}", f"{k}={v!r}") for k, v in file_vals.items() if k.startswith("tol_")]
+    items += [(item, repr(item)) for item in args.tol or []]
     tolerances: dict[str, float] = {}
-    for key, val in file_vals.items():
-        if key.startswith("tol_"):
-            name = key[4:]
-            try:
-                tolerances[name] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"bad tolerance {key}={val!r}") from exc
-    for item in args.tol or []:
-        if "=" not in item:
-            raise ConfigError(f"--tol expects name=value, got {item!r}")
-        name, _, val = item.partition("=")
+    for text, shown in items:
+        name, eq, val = text.partition("=")
+        if not eq:  # only a flag can lack the "="
+            raise ConfigError(f"--tol expects name=value, got {text!r}")
         try:
             tolerances[name] = float(val)
         except ValueError as exc:
-            raise ConfigError(f"bad tolerance {item!r}") from exc
+            raise ConfigError(f"bad tolerance {shown}") from exc
 
     experiment = args.experiment or file_vals.get("experiment")
     if not experiment:
         raise ConfigError("no experiment given")
-    return ExperimentConfig(
-        experiment=experiment,
-        t_grid=pick(_parse_t_grid(args.t_grid) if args.t_grid else None, "t_grid",
-                    _parse_t_grid, (1.0, 0.1, 0.01)),
-        n_samples=pick(args.n, "n", int, 2000),
-        graph_k=pick(args.k, "k", int, 12),
-        seed=pick(args.seed, "seed", int, 42),
-        tolerances=tolerances,
-        output_path=pick(args.out, "out", str, "report.json"),
-        format=pick(args.format, "format", str, "json"),
-    )
+    flags = {**vars(args), "t_grid": args.t_grid or None}  # an empty --t-grid counts as absent
+    values = {}
+    for key, (name, cast) in _CONFIG_KEYS.items():
+        if flags[key] is not None:
+            values[name] = cast(flags[key])
+        elif key in file_vals:
+            try:
+                values[name] = cast(file_vals[key])
+            except (ValueError, ConfigError) as exc:
+                raise ConfigError(f"bad config value for {key}: {file_vals[key]!r}") from exc
+    return ExperimentConfig(experiment=experiment, tolerances=tolerances, **values)
 
 
 def main(argv=None) -> int:

@@ -94,17 +94,12 @@ class MetricCloud:
 
     ``graph`` stores every edge in both directions (sorted CSR).  No
     distance matrix is held: ``cloud_diameter`` needs only a few Dijkstra
-    rows, and ``dist`` runs the full all-pairs Dijkstra on demand.
+    rows, and ``_all_pairs(c.graph)`` gives the full matrix.
     """
 
     points: ResolvedPoint
     kind: FormKind
     graph: scipy.sparse.csr_matrix
-
-    @property
-    def dist(self) -> np.ndarray:
-        """Matrix of graph shortest-path distances (all-pairs Dijkstra, O(n^2) memory)."""
-        return _all_pairs(self.graph)
 
 
 @dataclass(frozen=True)
@@ -427,7 +422,7 @@ def build_cloud(
 
 
 def cloud_diameter(c: MetricCloud) -> float:
-    """Largest sampled distance, equal bit for bit to ``c.dist.max()``.
+    """Largest sampled distance, equal bit for bit to ``_all_pairs(c.graph).max()``.
 
     Eccentricity bounds (Takes & Kosters 2011, BoundingDiameters) replace
     the full matrix.  Each round computes the Dijkstra rows of

@@ -84,32 +84,23 @@ class ProfileEval:
     usecond: float
 
 
-def _clamp_rho(rho: float) -> float:
-    if not math.isfinite(rho):
-        raise NonFinite("rho must be finite")
-    lo, hi = RHO_CLAMP
-    if rho < lo or rho > hi:
-        warnings.warn(
-            f"rho={rho} clamped into [{lo}, {hi}]", RangeClampedWarning, stacklevel=3
-        )
-        return min(max(rho, lo), hi)
-    return rho
+def _clamp_rho(rho):
+    """rho, a float or an array, clamped into ``RHO_CLAMP`` with one warning per call.
 
-
-def _clamp_rhos(rho: np.ndarray) -> np.ndarray:
-    """``_clamp_rho`` on every lane, with one warning for the whole array."""
+    Raises ``NonFinite`` if rho (any lane) is not finite.  Float callers first
+    test ``RHO_CLAMP[0] <= rho <= RHO_CLAMP[1]``, which NaN also fails, so an
+    in-range float never pays for this call.
+    """
     if not np.isfinite(rho).all():
         raise NonFinite("rho must be finite")
     lo, hi = RHO_CLAMP
-    out = (rho < lo) | (rho > hi)
-    if out.any():
-        warnings.warn(
-            f"{np.count_nonzero(out)} rho values clamped into [{lo}, {hi}]",
-            RangeClampedWarning,
-            stacklevel=3,
-        )
-        return np.clip(rho, lo, hi)
-    return rho
+    n_out = np.count_nonzero((rho < lo) | (rho > hi))
+    if not n_out:
+        return rho
+    warnings.warn(f"{n_out} rho value(s) clamped into [{lo}, {hi}]", RangeClampedWarning,
+                  stacklevel=3)
+    clamped = np.clip(rho, lo, hi)
+    return clamped if isinstance(rho, np.ndarray) else float(clamped)
 
 
 def _solve_q(t: float, erho: float) -> float:
@@ -158,7 +149,7 @@ def solve_uprime(params: ProfileParams, rho: float) -> float:
 
 def eval_profile(params: ProfileParams, rho: float) -> ProfileEval:
     """u' from the cubic and u'' from (t + u') u' u'' = e^{2 rho}."""
-    if not RHO_CLAMP[0] <= rho <= RHO_CLAMP[1]:  # also NaN, which _clamp_rho rejects
+    if not RHO_CLAMP[0] <= rho <= RHO_CLAMP[1]:
         rho = _clamp_rho(rho)
     t = params.t
     if t == 0.0:
@@ -174,7 +165,7 @@ def eval_profiles(params: ProfileParams, rho) -> ProfileEval:
     Raises ``NonFinite`` if any lane is not finite and warns once if any lane
     is clamped.
     """
-    rho = _clamp_rhos(np.asarray(rho, dtype=float))
+    rho = _clamp_rho(np.asarray(rho, dtype=float))
     if params.t == 0.0:
         return _cone(rho, np.exp(2.0 * rho / 3.0))
     erho = np.exp(rho)
@@ -184,7 +175,8 @@ def eval_profiles(params: ProfileParams, rho) -> ProfileEval:
 
 def cone_profile(rho: float) -> ProfileEval:
     """Closed-form t = 0 profile; no root-finding."""
-    rho = _clamp_rho(rho)
+    if not RHO_CLAMP[0] <= rho <= RHO_CLAMP[1]:
+        rho = _clamp_rho(rho)
     return _cone(rho, math.exp(2.0 * rho / 3.0))
 
 
@@ -228,7 +220,9 @@ def kahler_criterion(params: ProfileParams, rho_samples) -> KahlerReport:
 def cubic_residual(params: ProfileParams, rho, uprime):
     """Residual of the profile cubic at a claimed root (diagnostic); floats or arrays."""
     if isinstance(rho, np.ndarray):
-        e2 = np.exp(2.0 * _clamp_rhos(rho))
+        e2 = np.exp(2.0 * _clamp_rho(rho))
+    elif RHO_CLAMP[0] <= rho <= RHO_CLAMP[1]:
+        e2 = math.exp(2.0 * rho)
     else:
         e2 = math.exp(2.0 * _clamp_rho(rho))
     return 2.0 * uprime**3 + 3.0 * params.t * uprime**2 - 3.0 * e2

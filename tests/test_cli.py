@@ -204,6 +204,62 @@ class TestMainAndConfigFile:
         assert out.read_bytes() == pooled
 
 
+class TestFlagsMatchFile:
+    """Every config-file key gives the report that its flag gives."""
+
+    # (config-file line, the same setting as flags, the ExperimentConfig fields it sets)
+    CASES = [
+        ("t_grid = 1,0.5,0.25", ["--t-grid", "1,0.5,0.25"], {"t_grid": (1.0, 0.5, 0.25)}),
+        ("n = 12", ["--n", "12"], {"n_samples": 12}),
+        ("k = 5", ["--k", "5"], {"graph_k": 5}),
+        ("seed = 7", ["--seed", "7"], {"seed": 7}),
+        ("out = {out}", ["--out", "{out}"], {}),
+        ("format = csv", ["--format", "csv"], {"format": "csv"}),
+        ("tol_cubic_residual = 1e-7", ["--tol", "cubic_residual=1e-7"],
+         {"tolerances": {"cubic_residual": 1e-7}}),
+    ]
+
+    @pytest.mark.parametrize("line, flags, fields", CASES, ids=[c[0].split()[0] for c in CASES])
+    def test_same_report_bytes(self, tmp_path, capsys, line, flags, fields):
+        out = tmp_path / "r.out"
+        conf = tmp_path / "lab.conf"
+        conf.write_text(line.format(out=out) + "\n")
+        out_flag = [] if line.startswith("out") else ["--out", str(out)]
+        results = []
+        for argv in ([f.format(out=out) for f in flags], ["--config", str(conf)]):
+            assert main(["profile-table", *argv, *out_flag]) == 0
+            results.append((out.read_bytes(), capsys.readouterr().out))
+        # the direct config pins which field the key sets
+        assert run(ExperimentConfig("profile-table", output_path=str(out), **fields)) == 0
+        results.append((out.read_bytes(), capsys.readouterr().out))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("line, flags", [
+        ("t_grid = 0.5,1", ["--t-grid", "0.5,1"]),
+        ("t_grid = 1,x", ["--t-grid", "1,x"]),
+        ("n = 5", ["--n", "5"]),
+        ("k = 3", ["--k", "3"]),
+        ("tol_cubic_residual = abc", ["--tol", "cubic_residual=abc"]),
+        ("tol_no_such_name = 1", ["--tol", "no_such_name=1"]),
+    ])
+    def test_bad_value_from_either_source(self, tmp_path, capsys, line, flags):
+        out = tmp_path / "r.json"
+        conf = tmp_path / "lab.conf"
+        conf.write_text(line + "\n")
+        for argv in (flags, ["--config", str(conf)]):
+            assert main(["profile-table", *argv, "--out", str(out)]) == 2
+            assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["n = five", "k = five", "seed = five", "format = xml"])
+    def test_bad_file_text(self, tmp_path, capsys, line):
+        # as flags, argparse's own type and choices checks reject these
+        conf = tmp_path / "lab.conf"
+        conf.write_text(line + "\n")
+        assert main(["profile-table", "--config", str(conf), "--out", str(tmp_path / "r")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 class TestEstimatesGreen:
     def test_estimates_passes_with_defaults(self, tmp_path):
         out = tmp_path / "est.json"

@@ -311,7 +311,7 @@ class TestSampling:
 class TestCloud:
     def test_metric_properties(self):
         c = build_cloud(OMEGA, CONIFOLD_FLAT, n=120, graph_k=6, seed=5)
-        d = c.dist
+        d = _all_pairs(c.graph)
         assert np.allclose(d, d.T)
         assert np.allclose(np.diag(d), 0.0)
         assert np.isfinite(d).all()
@@ -322,7 +322,7 @@ class TestCloud:
     def test_doubling_k_never_increases_distances(self):
         c6 = build_cloud(OMEGA, CONIFOLD_FLAT, n=120, graph_k=6, seed=5)
         c12 = build_cloud(OMEGA, CONIFOLD_FLAT, n=120, graph_k=12, seed=5)
-        assert (c12.dist <= c6.dist + 1e-12).all()
+        assert (_all_pairs(c12.graph) <= _all_pairs(c6.graph) + 1e-12).all()
 
     def test_flat_kind_dominates_radial_gap(self):
         # under the flat pullback kind, distances along one radial ray are

@@ -255,6 +255,32 @@ class TestConeProfile:
         assert b / a == pytest.approx(math.exp(2.0), rel=1e-12)
 
 
+class TestFloatClamp:
+    """The float clamp paths of ``cone_profile`` and ``cubic_residual``, called directly."""
+
+    CALLS = {
+        "cone_profile": cone_profile,  # the whole record, rho included
+        "cubic_residual": lambda r: cubic_residual(ProfileParams(0.5), r, 0.25),
+    }
+
+    @pytest.mark.parametrize("fn", CALLS)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_rejected(self, fn, bad):
+        with pytest.raises(NonFinite):
+            self.CALLS[fn](bad)
+
+    @pytest.mark.parametrize("fn", CALLS)
+    @pytest.mark.parametrize("rho, clamped", [(-800.0, RHO_CLAMP[0]), (400.0, RHO_CLAMP[1])])
+    def test_out_of_range_warns_once_and_clamps(self, fn, rho, clamped):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = self.CALLS[fn](rho)
+        assert [w.category for w in caught] == [RangeClampedWarning]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert got == self.CALLS[fn](clamped)
+
+
 class TestMonotonicity:
     def test_decreasing_in_t(self):
         for rho in (-12.0, -3.0, 0.0, 2.0):

@@ -366,26 +366,37 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
     return {**asdict(cfg), "tolerances": dict(sorted(cfg.tolerances.items()))}
 
 
+def _io_error(exc: Exception) -> int:
+    print(f"io error: {exc}", file=sys.stderr)
+    return 2
+
+
 def run(config: ExperimentConfig) -> int:
-    """Execute the experiment, write the report, return the exit code."""
-    rows, asserts = _RUNNERS[config.experiment](config)
-    report = {
-        "experiment": config.experiment,
-        "config": _config_dict(config),
-        "rows": rows,
-        "asserts": asserts,
-        "version": __version__,
-    }
+    """Open the output, execute the experiment, write the report, return the exit code.
+
+    The output is opened first, so an unwritable path costs no experiment run.
+    """
     try:
-        if config.format == "json":
-            text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-        else:
-            text = _rows_to_csv(rows)
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except (OSError, ValueError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 2
+        fh = open(config.output_path, "w", encoding="utf-8")
+    except OSError as exc:
+        return _io_error(exc)
+    with fh:
+        rows, asserts = _RUNNERS[config.experiment](config)
+        report = {
+            "experiment": config.experiment,
+            "config": _config_dict(config),
+            "rows": rows,
+            "asserts": asserts,
+            "version": __version__,
+        }
+        try:
+            if config.format == "json":
+                fh.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
+            else:
+                fh.write(_rows_to_csv(rows))
+            fh.flush()
+        except (OSError, ValueError) as exc:
+            return _io_error(exc)
     ok = all(a["pass"] for a in asserts)
     for a in asserts:
         status = "PASS" if a["pass"] else "FAIL"
@@ -453,7 +464,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     experiment = args.experiment or file_vals.get("experiment")
     if not experiment:
         raise ConfigError("no experiment given")
-    flags = {**vars(args), "t_grid": args.t_grid or None}  # an empty --t-grid counts as absent
+    flags = vars(args)
     values = {}
     for key, (name, cast) in _CONFIG_KEYS.items():
         if flags[key] is not None:

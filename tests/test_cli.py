@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import conifold_lab
-from conifold_lab import __version__, metricgeom
+from conifold_lab import __version__, cli, metricgeom
 from conifold_lab.cli import ExperimentConfig, fit_power_law, main, run
 from conifold_lab.errors import ConfigError, NonPositiveData
 
@@ -160,6 +160,14 @@ class TestExitCodes:
         )
         assert run(cfg) == 2
 
+    def test_unwritable_output_runs_nothing(self, tmp_path, capsys, monkeypatch):
+        def never(cfg):
+            raise AssertionError("the experiment ran before its output was opened")
+
+        monkeypatch.setitem(cli._RUNNERS, "estimates", never)
+        assert main(["estimates", "--out", str(tmp_path / "no" / "such" / "dir" / "r.json")]) == 2
+        assert "io error" in capsys.readouterr().err
+
 
 class TestMainAndConfigFile:
     def test_cli_overrides_file(self, tmp_path, capsys):
@@ -241,6 +249,8 @@ class TestFlagsMatchFile:
         ("k = 3", ["--k", "3"]),
         ("tol_cubic_residual = abc", ["--tol", "cubic_residual=abc"]),
         ("tol_no_such_name = 1", ["--tol", "no_such_name=1"]),
+        # an empty flag is a value, not an absent flag: the default grid must not run
+        ("t_grid =", ["--t-grid", ""]),
     ])
     def test_bad_value_from_either_source(self, tmp_path, capsys, line, flags):
         out = tmp_path / "r.json"

@@ -402,6 +402,13 @@ class TestCloudDiameter:
         c = build_cloud(domain, kind, n=n, graph_k=k, seed=n + k)
         assert cloud_diameter(c) == _all_pairs(c.graph).max()
 
+    @pytest.mark.parametrize("t", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("delta", [0.05, 0.02, 0.01, 0.005])
+    def test_equals_full_matrix_maximum_on_sweep_clouds(self, delta, t):
+        # the clouds of the estimates sweep at its defaults
+        c = build_cloud(omega_r(delta), calabi_family(t), n=500, graph_k=12, seed=42)
+        assert cloud_diameter(c) == _all_pairs(c.graph).max()
+
     def test_computes_few_rows(self, monkeypatch):
         # the estimates sweep's cloud: Omega_0.01 at t = 1e-3, n = 500, k = 12
         rows = []
@@ -415,6 +422,27 @@ class TestCloudDiameter:
         diam = cloud_diameter(c)
         assert sum(rows) < 500 / 4
         assert diam == _all_pairs(c.graph).max()
+
+    def test_estimates_clouds_take_few_rows(self, monkeypatch):
+        # the eight clouds estimates measures at its defaults: every t of
+        # delta = 0.05 and 0.02, then delta = 0.01 until t = 1e-3 falls under eps;
+        # Takes-Kosters' upper bound ecc + d takes 627 rows on them
+        kinds = [calabi_family(t) for t in (1e-2, 1e-3, 1e-4)]
+        clouds = [
+            c
+            for delta, count in ((0.05, 3), (0.02, 3), (0.01, 2))
+            for c in build_clouds(omega_r(delta), kinds, n=500, graph_k=12, seed=42)[:count]
+        ]
+        rows = []
+
+        def counting(graph, sources=None):
+            rows.append(graph.shape[0] if sources is None else len(sources))
+            return _all_pairs(graph, sources)
+
+        monkeypatch.setattr(metricgeom, "_all_pairs", counting)
+        for c in clouds:
+            cloud_diameter(c)
+        assert sum(rows) <= 520
 
     def test_disconnected_cloud_raises(self):
         c = MetricCloud(

@@ -260,7 +260,32 @@ def _estimates_for_t(t: float, sub: ResolvedPoint) -> dict:
                          c1=float((lmax * np.exp(r)).max()))
 
 
-def _exp_estimates(cfg: ExperimentConfig):
+#: The neighbourhoods Omega_delta of the exceptional curve that the estimates sweep measures.
+_OMEGA_DELTAS = (0.05, 0.02, 0.01, 0.005)
+
+
+def _omega_delta_diameters(cfg: ExperimentConfig, delta: float) -> list[tuple[float, float]]:
+    """(t, sampled diameter of Omega_delta) in t order, up to the first below omega_delta_eps.
+
+    One sample and graph of Omega_delta, weighted for each small t; each
+    diameter adds the closed-form radial stub below the sampling floor twice.
+    """
+    eps = cfg.tol("omega_delta_eps")
+    t_small = (min(cfg.t_grid), min(cfg.t_grid) / 10.0, min(cfg.t_grid) / 100.0)
+    clouds = metricgeom.build_clouds(omega_r(delta), [forms.calabi_family(t) for t in t_small],
+                                     max(300, cfg.n_samples // 4), cfg.graph_k, cfg.seed)
+    out = []
+    for t, cloud in zip(t_small, clouds):
+        diam = metricgeom.cloud_diameter(cloud) + 2.0 * metricgeom.radial_stub(
+            t, 2.0 * math.log(delta) - metricgeom.RHO_DEPTH)
+        out.append((t, diam))
+        if diam < eps:
+            break
+    return out
+
+
+def _pointwise_estimates(cfg: ExperimentConfig):
+    """Rows and asserts of every estimate but the Omega_delta sweep."""
     rows, asserts = [], []
     pts = metricgeom.sample_domain(OMEGA, cfg.n_samples, cfg.seed)
 
@@ -299,27 +324,35 @@ def _exp_estimates(cfg: ExperimentConfig):
                             cfg.tol("radial_closed_form_abs")))
     worst = max(metricgeom.radial_length_from_rho(0.0, t) for t in cfg.t_grid)
     asserts.append(_at_most("radial_uniform_bound", worst, r0 + cfg.tol("radial_uniform_slack")))
+    return rows, asserts
 
-    # shrinking small neighbourhoods: find (delta, t) with sampled diameter < eps
+
+def _exp_estimates(cfg: ExperimentConfig):
+    """The estimate sweep; the Omega_delta clouds run on ``metricgeom._fork_map``.
+
+    The workers build and measure the clouds of every delta while this
+    process computes the pointwise estimates.  The results are then read in
+    delta order up to the first (delta, t) whose sampled diameter is below
+    omega_delta_eps, as a serial loop would stop; leaving the ``with`` block
+    kills the work on the smaller deltas still running.  A worker's error
+    surfaces only when its delta is read, so the errors raised are the
+    serial loop's.
+    """
     eps = cfg.tol("omega_delta_eps")
     found = None
     best_diam = math.inf
-    n_small = max(300, cfg.n_samples // 4)
-    t_small = (min(cfg.t_grid), min(cfg.t_grid) / 10.0, min(cfg.t_grid) / 100.0)
-    for delta in (0.05, 0.02, 0.01, 0.005):
-        # one sample and graph per delta, weighted for every t
-        clouds = metricgeom.build_clouds(omega_r(delta), [forms.calabi_family(t) for t in t_small],
-                                         n_small, cfg.graph_k, cfg.seed)
-        for t, cloud in zip(t_small, clouds):
-            diam = metricgeom.cloud_diameter(cloud) + 2.0 * metricgeom.radial_stub(
-                t, 2.0 * math.log(delta) - metricgeom.RHO_DEPTH)
-            rows.append(_estimate_row(t=t, delta=delta, omega_delta_diameter=diam))
-            best_diam = min(best_diam, diam)
+    with metricgeom._fork_map(lambda delta: _omega_delta_diameters(cfg, delta),
+                              _OMEGA_DELTAS) as swept:
+        rows, asserts = _pointwise_estimates(cfg)
+        # shrinking small neighbourhoods: find (delta, t) with sampled diameter < eps
+        for delta, measured in zip(_OMEGA_DELTAS, swept):
+            for t, diam in measured:
+                rows.append(_estimate_row(t=t, delta=delta, omega_delta_diameter=diam))
+                best_diam = min(best_diam, diam)
+            t, diam = measured[-1]
             if diam < eps:
                 found = (delta, t, diam)
                 break
-        if found:
-            break
     asserts.append(_check("omega_delta_shrinks", best_diam, eps, found is not None))
     if found:
         asserts.append(_report_only("omega_delta_delta", found[0]))
@@ -446,7 +479,7 @@ _CONFIG_KEYS = {
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    file_vals = _read_config_file(args.config) if args.config else {}
+    file_vals = _read_config_file(args.config) if args.config is not None else {}
 
     # every tolerance as (name=value, its text in an error): file tol_ keys, then --tol flags
     items = [(f"{k[4:]}={v}", f"{k}={v!r}") for k, v in file_vals.items() if k.startswith("tol_")]

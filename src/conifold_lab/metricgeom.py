@@ -40,13 +40,20 @@ computed on the clouds of the estimate sweep.
 metrics of the t-metric and of the cone on one shared sample, not between
 the continuum spaces.  It runs Dijkstra over fixed chunks of source rows;
 each chunk is reduced to its per-t maxima of the discrepancy, so memory
-grows as O(chunk * n) rather than O(n^2).  The chunks run on forked worker
-processes, which inherit the graphs built in the parent and return only
-those maxima; the parent takes the maximum over chunks, which does not
-depend on how the rows are grouped.  The worker count is the smallest of
-4, the CPUs in the process's affinity mask and the chunk count, so
-``taskset -c`` narrows it; at 1 the chunks run in the calling process and
-no process is started.
+grows as O(chunk * n) rather than O(n^2).  The parent takes the maximum
+over chunks, which does not depend on how the rows are grouped.
+
+``_fork_map`` is the one fork helper.  It maps a function over a few
+independent items on forked workers, as many as the smallest of 4, the CPUs
+in the process's affinity mask and the item count, so ``taskset -c``
+narrows it.  The workers inherit the function's closure (graphs built in
+the parent are not copied), take the next item as soon as they are free,
+and send back only results, which come out in item order.  At width 1 the
+items run lazily in the calling process and no process is started.  Two
+callers use it: ``gh_upper_bounds`` over its chunks, and the CLI's
+``estimates`` sweep over its Omega_delta neighbourhoods.  Leaving its
+``with`` block kills the workers, so a consumer that stops early, as the
+sweep does at its first small diameter, kills the work it no longer needs.
 
 Sampling is stratified and quasi-random: uniform in rho down to a fixed
 depth below the domain top, uniform in the base and fibre phases, plus a
@@ -61,10 +68,12 @@ closed-form radial length, available as ``radial_stub``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -488,17 +497,92 @@ def _chunk_gaps(graphs: list[scipy.sparse.csr_matrix], start: int) -> list[float
     return [float(np.max(np.abs(_all_pairs(g, sources) - d_cone))) for g in family]
 
 
-#: The graphs of the pool this worker process serves (set only in workers).
-_worker_graphs: list[scipy.sparse.csr_matrix] = []
+def _serve(fn: Callable, items: Sequence, tasks: int,
+           results: multiprocessing.connection.Connection) -> None:
+    """Forked worker: apply ``fn`` to the items whose indices it reads from ``tasks``.
+
+    Each index is 4 bytes, and a pipe read of 4 bytes is one index, so the
+    workers share the pipe without a lock.  For each item it sends
+    (index, True, result) or (index, False, the exception raised); it
+    returns once the pipe is empty.
+    """
+    while index := os.read(tasks, 4):
+        i = int.from_bytes(index, "little")
+        try:
+            out = (i, True, fn(items[i]))
+        except Exception as exc:
+            out = (i, False, exc)
+        results.send(out)
 
 
-def _init_worker(graphs: list[scipy.sparse.csr_matrix]) -> None:
-    global _worker_graphs
-    _worker_graphs = graphs
+@contextlib.contextmanager
+def _fork_map(fn: Callable, items: Sequence) -> Iterator[Iterator]:
+    """Yield ``fn`` over ``items``, in order, computed on up to ``_max_workers()`` forked processes.
 
+    The width is min(``_max_workers()``, len(items)).  At width 1 it yields
+    a lazy ``map`` in this process and starts no process.  Wider, it forks
+    ``width`` workers, which inherit ``fn`` with its closure and ``items``
+    (the graphs they read are not copied).  Each worker takes the next item
+    index from one shared pipe as soon as it is free, and sends back only
+    its results, on a pipe of its own.  Item i's result, or the exception it
+    raised, comes when the consumer reaches i.  Leaving the ``with`` block
+    kills and reaps every worker, so a consumer that stops early kills the
+    work it no longer needs.  No lock is shared with a worker, so a kill
+    cannot leave one held (``multiprocessing.Pool.terminate`` can, when it
+    kills a worker that is writing its result, and then hangs).  If every
+    worker has exited and item i has no result (a worker died), reading i
+    raises ``ChildProcessError``.
+    """
+    width = min(_max_workers(), len(items))
+    if width <= 1:
+        yield map(fn, items)
+        return
+    # every index is written, and the write end closed, before any worker
+    # reads: a few items' indices fit the pipe's buffer, and the pipe reads
+    # empty once they are taken
+    tasks, writer = os.pipe()
+    os.write(writer, b"".join(i.to_bytes(4, "little") for i in range(len(items))))
+    os.close(writer)
+    # fork, not spawn: a spawned worker would import numpy and scipy again
+    # and could not inherit the closure
+    ctx = multiprocessing.get_context("fork")
+    workers, readers = [], []
 
-def _worker_chunk_gaps(start: int) -> list[float]:
-    return _chunk_gaps(_worker_graphs, start)
+    def results():
+        done = {}  # item index -> (ok, result or exception)
+        live = list(readers)
+        for i in range(len(items)):
+            while i not in done:
+                if not live:
+                    raise ChildProcessError(f"no worker sent the result of item {i}")
+                for reader in multiprocessing.connection.wait(live):
+                    try:
+                        j, ok, value = reader.recv()
+                    except EOFError:  # the worker has exited
+                        live.remove(reader)
+                    else:
+                        done[j] = ok, value
+            ok, value = done.pop(i)
+            if not ok:
+                raise value
+            yield value
+
+    try:
+        for _ in range(width):
+            reader, writer = ctx.Pipe(duplex=False)
+            workers.append(ctx.Process(target=_serve, args=(fn, items, tasks, writer)))
+            workers[-1].start()
+            writer.close()
+            readers.append(reader)
+        yield results()
+    finally:
+        for proc in workers:
+            proc.kill()  # harmless on a worker that has finished
+        for proc in workers:
+            proc.join()
+        for reader in readers:
+            reader.close()
+        os.close(tasks)
 
 
 def gh_upper_bounds(
@@ -516,28 +600,20 @@ def gh_upper_bounds(
     n x n matrix is held.
 
     The graphs come from one ``build_clouds`` call (cone first, then each t),
-    so the sample and edge set are built once.  The chunks run on
-    min(``_max_workers()``, chunk count) processes forked after the build:
-    they inherit the graphs rather than receive copies, and each chunk
-    returns only its per-t maxima.  The maximum over chunks does not depend
-    on their grouping, so the bounds equal those of the serial loop, which
-    runs in this process, starting none, when that width is 1.  A worker's
-    ``DegenerateMetric`` reaches the caller as it would serially.  Raises
-    ``ValueError`` unless every t lies in (0, 1], n >= 10 and graph_k >= 4.
+    so the sample and edge set are built once.  The chunks go through
+    ``_fork_map``, on min(``_max_workers()``, chunk count) processes forked
+    after the build: they inherit the graphs rather than receive copies, and
+    each chunk returns only its per-t maxima.
+    The maximum over chunks does not depend on their grouping, so the bounds
+    equal those of the serial loop, which runs in this process, starting
+    none, when that width is 1.  A worker's ``DegenerateMetric`` reaches the
+    caller as it would serially.  Raises ``ValueError`` unless every t lies
+    in (0, 1], n >= 10 and graph_k >= 4.
     """
-    starts = range(0, n, _CHUNK)
-    workers = min(_max_workers(), len(starts))
     kinds = [CONE_METRIC] + [calabi_family(t) for t in t_grid]
     graphs = [c.graph for c in build_clouds(OMEGA, kinds, n, graph_k, seed)]
-    if workers == 1:
-        gaps = [_chunk_gaps(graphs, start) for start in starts]
-    else:
-        # fork, not spawn: workers inherit the graphs, and a spawned worker
-        # would import numpy and scipy again on every call
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_init_worker, initargs=(graphs,)) as pool:
-            gaps = pool.map(_worker_chunk_gaps, starts, chunksize=1)
-    return [GHEstimate(t=t, bound=0.5 * max(col)) for t, col in zip(t_grid, zip(*gaps))]
+    with _fork_map(lambda start: _chunk_gaps(graphs, start), range(0, n, _CHUNK)) as gaps:
+        return [GHEstimate(t=t, bound=0.5 * max(col)) for t, col in zip(t_grid, zip(*gaps))]
 
 
 def gh_upper_bound(t: float, n: int, seed: int, graph_k: int = 12) -> GHEstimate:

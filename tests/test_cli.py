@@ -1,7 +1,9 @@
 """CLI runner: fits, reports, determinism, exit codes."""
 
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 import conifold_lab
 from conifold_lab import __version__, cli, metricgeom
 from conifold_lab.cli import ExperimentConfig, fit_power_law, main, run
-from conifold_lab.errors import ConfigError, NonPositiveData
+from conifold_lab.errors import ConfigError, DegenerateMetric, NonPositiveData
 
 
 class TestFitPowerLaw:
@@ -261,6 +263,13 @@ class TestFlagsMatchFile:
             assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_config_path(self, tmp_path, capsys):
+        # an empty path is a file that cannot be read, not an absent flag
+        out = tmp_path / "r.json"
+        assert main(["profile-table", "--config", "", "--out", str(out)]) == 2
+        assert "config error: cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["n = five", "k = five", "seed = five", "format = xml"])
     def test_bad_file_text(self, tmp_path, capsys, line):
         # as flags, argparse's own type and choices checks reject these
@@ -286,6 +295,63 @@ class TestEstimatesGreen:
         assert "fibre_sandwich_lower" in names
         assert "omega_delta_shrinks" in names
         assert all(a["pass"] for a in report["asserts"])
+
+
+class TestEstimatesSweep:
+    """The Omega_delta clouds run on forked workers; the report is the serial loop's."""
+
+    # at n = 400 the sweep stops at delta = 0.02, so 0.01 and 0.005 are never read
+    ARGV = ["estimates", "--n", "400", "--seed", "3"]
+
+    def test_width_one_equals_pooled(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "r.json"
+        argv = [*self.ARGV, "--out", str(out)]
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: 2)
+        assert main(argv) == 0
+        pooled = out.read_bytes(), capsys.readouterr().out
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("width 1 started a process")
+
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: 1)
+        monkeypatch.setattr(metricgeom.multiprocessing, "get_context", no_process)
+        assert main(argv) == 0
+        assert (out.read_bytes(), capsys.readouterr().out) == pooled
+        assert json.loads(pooled[0])["asserts"][-2]["observed"] == 0.02  # omega_delta_delta
+
+    def test_no_child_outlives_main(self, tmp_path, monkeypatch):
+        # four deltas on four workers: the two the sweep never reads are killed
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: 4)
+        assert main([*self.ARGV, "--out", str(tmp_path / "r.json")]) == 0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad, raises", [(0.005, False), (0.01, False), (0.05, True)])
+    def test_worker_error_only_where_read(self, tmp_path, monkeypatch, bad, raises):
+        real = cli._omega_delta_diameters
+
+        def failing(cfg, delta):
+            if delta == bad:
+                raise DegenerateMetric(f"injected at delta = {delta}")
+            return real(cfg, delta)
+
+        def hung(signum, frame):
+            raise TimeoutError("estimates did not return")
+
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: 2)
+        monkeypatch.setattr(cli, "_omega_delta_diameters", failing)
+        argv = [*self.ARGV, "--out", str(tmp_path / "r.json")]
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            if raises:
+                with pytest.raises(DegenerateMetric, match="injected"):
+                    main(argv)
+            else:
+                assert main(argv) == 0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
 
 class TestRicciAuditSmall:

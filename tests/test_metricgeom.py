@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from conifold_lab.metricgeom import (
     _all_pairs,
     _edge_weights,
     _emst,
+    _fork_map,
     _graph_edges,
     _halton,
     _symmetric_graph,
@@ -676,21 +678,76 @@ class TestGH:
             tracemalloc.stop()
         assert peak < 20e6
 
-    def test_one_cpu_mask_starts_no_process(self):
-        # a fresh interpreter restricted to one CPU: two chunks, yet width 1
+    def test_one_cpu_mask_starts_no_process(self, tmp_path):
+        # a fresh interpreter restricted to one CPU: two chunks and four deltas, yet width 1
+        out_path = str(tmp_path / "r.json")
         code = (
-            "import os\n"
-            "from conifold_lab import metricgeom\n"
+            "import contextlib, io, os\n"
+            "from conifold_lab import cli, metricgeom\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "def no_process(*args, **kwargs):\n"
             "    raise AssertionError('a one-CPU mask started a process')\n"
             "metricgeom.multiprocessing.get_context = no_process\n"
             "print(len(metricgeom.gh_upper_bounds([1.0], n=300, seed=0, graph_k=6)))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main(['estimates', '--n', '400', '--out', {out_path!r}])\n"
+            "print(code)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(metricgeom.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out.strip() == "1"
+        assert out.split() == ["1", "0"]
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_keeps_item_order(self, monkeypatch, width):
+        # later items finish first, and the closure's array reaches forked
+        # workers by inheritance (a lambda cannot be pickled)
+        scale = np.arange(1.0, 10.0)
+
+        def slow_square(i):
+            time.sleep(0.005 * (8 - i))
+            return float(scale[i]) ** 2
+
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: width)
+        with _fork_map(lambda i: slow_square(i), range(9)) as results:
+            assert list(results) == [float(i) ** 2 for i in range(1, 10)]
+        assert multiprocessing.active_children() == []
+
+    def test_width_one_is_lazy(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: 1)
+        with _fork_map(seen.append, range(3)) as results:
+            assert seen == []
+            next(results)
+        assert seen == [0]
+
+    def test_early_stop_kills_running_tasks(self, monkeypatch):
+        def task(i):
+            if i > 0:
+                time.sleep(60)
+            return i
+
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: 2)
+        start = time.monotonic()
+        with _fork_map(task, range(4)) as results:
+            assert next(results) == 0
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 30
+
+    def test_worker_dying_without_result_raises(self, monkeypatch):
+        def task(i):
+            if i == 1:
+                os._exit(3)
+            return i
+
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: 2)
+        with _fork_map(task, range(3)) as results:
+            assert next(results) == 0
+            with pytest.raises(ChildProcessError):
+                next(results)
+        assert multiprocessing.active_children() == []
 
 
 class TestOmegaDeltaShrinking:

@@ -36,11 +36,13 @@ from .forms import (
     vector_norm_sq,
 )
 from .metricgeom import (
+    CloudStructure,
     GHEstimate,
     MetricCloud,
     build_cloud,
     build_clouds,
     cloud_diameter,
+    cloud_structure,
     fs_diameter,
     gh_upper_bound,
     gh_upper_bounds,

@@ -66,10 +66,14 @@ class ExperimentConfig:
             raise ConfigError("t_grid entries must lie in (0, 1]")
         if any(a <= b for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigError("t_grid must be strictly decreasing")
+        if self.experiment == "gh-converge" and len(self.t_grid) < 2:
+            raise ConfigError("gh-converge needs at least two t_grid values")
         if self.n_samples < 10:
             raise ConfigError("n_samples must be >= 10")
         if self.graph_k < 4:
             raise ConfigError("graph_k must be >= 4")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
         for k, v in self.tolerances.items():
@@ -267,15 +271,18 @@ _OMEGA_DELTAS = (0.05, 0.02, 0.01, 0.005)
 def _omega_delta_diameters(cfg: ExperimentConfig, delta: float) -> list[tuple[float, float]]:
     """(t, sampled diameter of Omega_delta) in t order, up to the first below omega_delta_eps.
 
-    One sample and graph of Omega_delta, weighted for each small t; each
-    diameter adds the closed-form radial stub below the sampling floor twice.
+    One sample and graph structure of Omega_delta.  Each t weighs it only
+    when its diameter is taken, so the t after the first small diameter are
+    never weighed.  Each diameter adds the closed-form radial stub below the
+    sampling floor twice.
     """
     eps = cfg.tol("omega_delta_eps")
     t_small = (min(cfg.t_grid), min(cfg.t_grid) / 10.0, min(cfg.t_grid) / 100.0)
-    clouds = metricgeom.build_clouds(omega_r(delta), [forms.calabi_family(t) for t in t_small],
-                                     max(300, cfg.n_samples // 4), cfg.graph_k, cfg.seed)
+    structure = metricgeom.cloud_structure(omega_r(delta), max(300, cfg.n_samples // 4),
+                                           cfg.graph_k, cfg.seed)
     out = []
-    for t, cloud in zip(t_small, clouds):
+    for t in t_small:
+        cloud = structure.weigh(forms.calabi_family(t))
         diam = metricgeom.cloud_diameter(cloud) + 2.0 * metricgeom.radial_stub(
             t, 2.0 * math.log(delta) - metricgeom.RHO_DEPTH)
         out.append((t, diam))

@@ -15,15 +15,24 @@ set: it guarantees a connected graph and, being independent of k, preserves
 the monotonicity of distances under increasing k.  The tree is exact and
 built without a dense distance matrix, by Boruvka rounds over the kNN lists
 the graph already queries (deeper KD-tree queries only where a list cannot
-certify a point's nearest neighbour outside its component).  Edges (i < j)
-are deduplicated on the one int64 key i * n + j, whose order is their row
-order.  Each graph stores both directions of every edge in one sorted CSR
-structure.
+certify a point's nearest neighbour outside its component).  The KD-tree
+has leaves of 32 points, not scipy's 16: that made its k = 13 queries
+7-10% faster at n = 500 to 2000, with the same neighbour lists (README).
 
-``build_clouds`` is the one graph builder: it builds the sample, the edge
-set and the CSR structure once per (domain, n, k, seed) and weights that
-graph per metric kind.  ``build_cloud`` is its batch of one, and
+One int64 key names an edge (i < j) end to end: i * n + j.  The EMST
+returns its edges as keys, the kNN pairs are keyed by np.minimum and
+np.maximum, and one ``np.unique`` deduplicates both; the key order is the
+row order.  Each graph stores both directions of every edge in one CSR
+structure whose arcs are sorted by the same key, row * n + col.
+
+``cloud_structure`` builds the sample, the edge set and the CSR structure
+once per (domain, n, k, seed); ``CloudStructure.weigh`` weighs it under one
+metric kind when a caller asks, so the CLI's ``estimates`` sweep never
+weighs a t after its first small diameter.  ``build_clouds`` maps the
+weigher over its kinds; ``build_cloud`` is its batch of one, and
 ``gh_upper_bounds`` takes the cone's and the family's graphs from it.
+Dijkstra rows come from ``scipy.sparse.csgraph.dijkstra`` itself:
+``shortest_path(method="D")`` validates the graph and then calls it.
 
 A ``MetricCloud`` holds its weighted graph, not a distance matrix.
 ``cloud_diameter`` is exact from a few Dijkstra rows.  It bounds each
@@ -98,6 +107,9 @@ _CHUNK = 256
 
 #: Source rows per shortest-path call in ``cloud_diameter``.
 _DIAM_ROWS = 8
+
+#: KD-tree leaf size for the 8-real contraction embedding.
+_LEAFSIZE = 32
 
 
 @dataclass(frozen=True)
@@ -315,7 +327,7 @@ def _emst(tree: scipy.spatial.cKDTree, dd: np.ndarray, idx: np.ndarray) -> np.nd
     list's last entry.  Otherwise the tree is queried again at twice the
     depth, but only while the list's last distance does not exceed the
     component's best edge so far: every unlisted point is at least that far,
-    so it could not win.  Returns the n - 1 edges as rows (i < j).
+    so it could not win.  Returns the n - 1 edges as sorted keys i * n + j (i < j).
     """
     n = tree.n
     points = np.arange(n)
@@ -341,7 +353,7 @@ def _emst(tree: scipy.spatial.cKDTree, dd: np.ndarray, idx: np.ndarray) -> np.nd
         mst = np.unique(np.concatenate([mst, lo[first] * n + hi[first]]))
         tree_so_far = scipy.sparse.coo_matrix((np.ones(len(mst)), divmod(mst, n)), shape=(n, n))
         ncomp, comp = scipy.sparse.csgraph.connected_components(tree_so_far, directed=False)
-    return np.stack(divmod(mst, n), axis=1)
+    return mst
 
 
 def _graph_edges(points: ResolvedPoint, graph_k: int) -> np.ndarray:
@@ -349,14 +361,14 @@ def _graph_edges(points: ResolvedPoint, graph_k: int) -> np.ndarray:
     emb = np.stack(contract(points).y, axis=1).view(float)
     n = len(emb)
     k = min(graph_k + 1, n)
-    tree = scipy.spatial.cKDTree(emb)
+    tree = scipy.spatial.cKDTree(emb, leafsize=_LEAFSIZE)
     dd, idx = (a.reshape(n, k) for a in tree.query(emb, k=k))
-    knn = np.stack([np.repeat(np.arange(n), k), np.ravel(idx)], axis=1)
-    # Connectivity backbone, independent of graph_k.
-    pairs = np.sort(np.concatenate([knn, _emst(tree, dd, idx)]), axis=1)
-    i, j = pairs[pairs[:, 0] != pairs[:, 1]].T
-    # the key i * n + j orders edges (i < j) as their rows do
-    return np.stack(divmod(np.unique(i * n + j), n), axis=1)
+    i = np.arange(n)[:, None]
+    lo, hi = np.minimum(i, idx), np.maximum(i, idx)
+    # Connectivity backbone, independent of graph_k; the key i * n + j orders
+    # edges (i < j) as their rows do.
+    keys = np.unique(np.concatenate([(lo * n + hi)[lo != hi], _emst(tree, dd, idx)]))
+    return np.stack(divmod(keys, n), axis=1)
 
 
 def _edge_weights(kind: FormKind, points: ResolvedPoint, edges: np.ndarray) -> np.ndarray:
@@ -373,44 +385,41 @@ def _edge_weights(kind: FormKind, points: ResolvedPoint, edges: np.ndarray) -> n
     return w
 
 
-def _symmetric_graph(
-    n: int, edges: np.ndarray
-) -> Callable[[np.ndarray], scipy.sparse.csr_matrix]:
-    """Weights -> sparse graph that stores each edge in both directions.
-
-    The sorted two-direction CSR structure is built once; each metric kind
-    only permutes its edge weights into the matrix data.
-    """
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indices = cols[order].astype(np.int32)
-    perm = order % len(edges)
-
-    def graph(weights: np.ndarray) -> scipy.sparse.csr_matrix:
-        return scipy.sparse.csr_matrix((weights[perm], indices, indptr), shape=(n, n))
-
-    return graph
-
-
 def _all_pairs(graph: scipy.sparse.csr_matrix, sources: np.ndarray | None = None) -> np.ndarray:
     """Shortest-path distances from ``sources`` (default: every node) in a symmetric graph."""
-    dist = scipy.sparse.csgraph.shortest_path(graph, method="D", directed=True, indices=sources)
+    dist = scipy.sparse.csgraph.dijkstra(graph, directed=True, indices=sources)
     if np.isinf(dist).any():
         raise DegenerateMetric("sampled graph is not connected")
     return dist
 
 
-def build_clouds(
-    d: DomainSpec, kinds: list[FormKind], n: int, graph_k: int, seed: int
-) -> list[MetricCloud]:
-    """Sample the domain once and weight its one graph under each kind (no Dijkstra).
+@dataclass(frozen=True)
+class CloudStructure:
+    """A sample with its edge set and two-direction CSR structure, not yet weighted.
 
-    The sample, the edge set and the two-direction CSR structure depend only
-    on ``(d, n, graph_k, seed)``, so they are built once; each kind adds one
-    batched weight evaluation, and the clouds share points and structure.
+    ``edges`` are the (i < j) rows in key order.  The CSR stores each edge
+    as two arcs, in the order of their key row * n + col; ``perm`` gives
+    each arc's edge, so a metric kind only permutes its edge weights into
+    the matrix data.
+    """
+
+    points: ResolvedPoint
+    edges: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    perm: np.ndarray
+
+    def weigh(self, kind: FormKind) -> MetricCloud:
+        """The cloud of one metric kind: one batched weight evaluation (no Dijkstra)."""
+        n = len(self.indptr) - 1
+        data = _edge_weights(kind, self.points, self.edges)[self.perm]
+        graph = scipy.sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        return MetricCloud(points=self.points, kind=kind, graph=graph)
+
+
+def cloud_structure(d: DomainSpec, n: int, graph_k: int, seed: int) -> CloudStructure:
+    """Sample the domain and build its edge set and CSR structure, unweighted.
+
     Raises ``ValueError`` unless n >= 10 and graph_k >= 4.
     """
     if n < 10:
@@ -419,11 +428,28 @@ def build_clouds(
         raise ValueError("need graph_k >= 4")
     points = sample_domain(d, n, seed)
     edges = _graph_edges(points, graph_k)
-    graph = _symmetric_graph(n, edges)
-    return [
-        MetricCloud(points=points, kind=kind, graph=graph(_edge_weights(kind, points, edges)))
-        for kind in kinds
-    ]
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    # the arc keys are unique, so this is np.lexsort((cols, rows))'s permutation
+    order = np.argsort(rows * n + cols)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return CloudStructure(points=points, edges=edges, indices=cols[order].astype(np.int32),
+                          indptr=indptr, perm=order % len(edges))
+
+
+def build_clouds(
+    d: DomainSpec, kinds: list[FormKind], n: int, graph_k: int, seed: int
+) -> list[MetricCloud]:
+    """One ``cloud_structure`` weighed under each kind (no Dijkstra).
+
+    The sample, the edge set and the CSR structure depend only on
+    ``(d, n, graph_k, seed)``, so they are built once; each kind adds one
+    batched weight evaluation, and the clouds share points and structure.
+    Raises ``ValueError`` unless n >= 10 and graph_k >= 4, before any kind
+    is weighed.
+    """
+    return list(map(cloud_structure(d, n, graph_k, seed).weigh, kinds))
 
 
 def build_cloud(

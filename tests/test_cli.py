@@ -65,6 +65,13 @@ class TestConfig:
             ExperimentConfig(experiment="estimates", format="xml")
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="estimates", tolerances={"no_such": 1.0})
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            ExperimentConfig(experiment="estimates", seed=-1)
+        # one t would compare each bound with itself
+        with pytest.raises(ConfigError, match="at least two"):
+            ExperimentConfig(experiment="gh-converge", t_grid=(0.5,))
+        ExperimentConfig(experiment="gh-converge", t_grid=(1.0, 0.5), seed=0)
+        ExperimentConfig(experiment="diam-scaling", t_grid=(0.5,))  # its fit extends the grid
 
 
 class TestProfileTable:
@@ -137,6 +144,17 @@ class TestExitCodes:
         assert main(["profile-table", "--format", "json", "--tol", "bogus"]) == 2
         # no experiment ever read this tolerance, so it is not a name
         assert main(["profile-table", "--tol", "area_linearity_rel=1e-8"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["ricci-audit", "--seed", "-1"],
+        ["estimates", "--seed", "-1"],
+        ["gh-converge", "--n", "60", "--k", "6", "--t-grid", "0.5"],
+    ])
+    def test_bad_config_runs_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("source", ["flag", "file"])
@@ -318,6 +336,22 @@ class TestEstimatesSweep:
         assert main(argv) == 0
         assert (out.read_bytes(), capsys.readouterr().out) == pooled
         assert json.loads(pooled[0])["asserts"][-2]["observed"] == 0.02  # omega_delta_delta
+
+    @pytest.mark.parametrize("seed, weighings", [(42, 8), (57, 5)])
+    def test_weighs_only_the_t_it_reads(self, tmp_path, monkeypatch, seed, weighings):
+        # seed 42 stops at (0.01, 1e-3), seed 57 at (0.02, 1e-3): the t after
+        # the stop are never weighed (building whole deltas took 9 and 6)
+        calls = []
+        real = metricgeom._edge_weights
+
+        def counting(kind, points, edges):
+            calls.append(kind.t)
+            return real(kind, points, edges)
+
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: 1)
+        monkeypatch.setattr(metricgeom, "_edge_weights", counting)
+        assert main(["estimates", "--seed", str(seed), "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == weighings
 
     def test_no_child_outlives_main(self, tmp_path, monkeypatch):
         # four deltas on four workers: the two the sweep never reads are killed

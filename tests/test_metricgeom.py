@@ -39,10 +39,10 @@ from conifold_lab.metricgeom import (
     _fork_map,
     _graph_edges,
     _halton,
-    _symmetric_graph,
     build_cloud,
     build_clouds,
     cloud_diameter,
+    cloud_structure,
     fs_diameter,
     gh_upper_bound,
     gh_upper_bounds,
@@ -154,23 +154,33 @@ def set_graph_edges(points, graph_k):
 
 
 def emst_of(emb, k):
-    """The Boruvka backbone of emb from its (k + 1)-nearest-neighbour lists."""
+    """The Boruvka backbone of emb from its (k + 1)-nearest-neighbour lists, as rows (i < j)."""
     tree = scipy.spatial.cKDTree(emb)
     dd, idx = tree.query(emb, k=k + 1)
-    return _emst(tree, dd, idx)
+    return np.stack(divmod(_emst(tree, dd, idx), len(emb)), axis=1)
+
+
+def symmetric_csr(n, edges, weights):
+    """Oracle for the two-direction CSR: each edge's two arcs sorted by (row, col) by lexsort."""
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    data = weights[order % max(len(edges), 1)]
+    return scipy.sparse.csr_matrix((data, cols[order].astype(np.int32), indptr), shape=(n, n))
 
 
 def gh_dense(t_grid, n, seed, graph_k):
     """Oracle for gh_upper_bounds: half the max discrepancy of the full distance matrices."""
     pts = sample_domain(OMEGA, n, seed)
     edges = _graph_edges(pts, graph_k)
-    graph = _symmetric_graph(n, edges)
-    d_cone = _all_pairs(graph(_edge_weights(CONE_METRIC, pts, edges)))
-    return [
-        0.5 * float(np.max(np.abs(
-            _all_pairs(graph(_edge_weights(calabi_family(t), pts, edges))) - d_cone)))
-        for t in t_grid
-    ]
+
+    def dist(kind):
+        return _all_pairs(symmetric_csr(n, edges, _edge_weights(kind, pts, edges)))
+
+    d_cone = dist(CONE_METRIC)
+    return [0.5 * float(np.max(np.abs(dist(calabi_family(t)) - d_cone))) for t in t_grid]
 
 
 def segment_weight(kind, pa, pb):
@@ -335,8 +345,8 @@ class TestCloud:
             pts.append(ResolvedPoint(base.z, s * base.xi1, s * base.xi2))
         # embed them into a sampled cloud by hand: weight pairs directly
         edges = _graph_edges(stack(pts), graph_k=4)
-        graph = _symmetric_graph(len(pts), edges)
-        dist = _all_pairs(graph(_edge_weights(CONIFOLD_FLAT, stack(pts), edges)))
+        weights = _edge_weights(CONIFOLD_FLAT, stack(pts), edges)
+        dist = _all_pairs(symmetric_csr(len(pts), edges, weights))
         radii = [math.sqrt(sum(abs(v) ** 2 for v in contract(p).y)) for p in pts]
         for i in range(len(pts)):
             for j in range(len(pts)):
@@ -347,15 +357,24 @@ class TestCloud:
         c = MetricCloud(
             points=stack([ResolvedPoint(0, 0.5, 0)]),
             kind=CONIFOLD_FLAT,
-            graph=_symmetric_graph(1, np.empty((0, 2), dtype=np.intp))(np.empty(0)),
+            graph=symmetric_csr(1, np.empty((0, 2), dtype=np.intp), np.empty(0)),
         )
         assert cloud_diameter(c) == 0.0
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("sampled or weighed before validating n and graph_k")
+
+        # the checks come before any sample or weight
+        monkeypatch.setattr(metricgeom, "sample_domain", never)
+        monkeypatch.setattr(metricgeom, "_edge_weights", never)
         with pytest.raises(ValueError):
             build_cloud(OMEGA, CONIFOLD_FLAT, n=5, graph_k=6, seed=1)
         with pytest.raises(ValueError):
             build_cloud(OMEGA, CONIFOLD_FLAT, n=50, graph_k=2, seed=1)
+        for n, k in ((9, 12), (50, 3)):
+            with pytest.raises(ValueError):
+                build_clouds(OMEGA, [CONE_METRIC, calabi_family(0.5)], n=n, graph_k=k, seed=1)
 
     def test_shared_clouds_equal_clouds_built_alone(self):
         # one sample and structure weighted per kind: no kind's weights leak into another's
@@ -366,7 +385,7 @@ class TestCloud:
         for kind, c in zip(kinds, clouds):
             pts = sample_domain(d, n, seed)
             edges = _graph_edges(pts, k)
-            alone = _symmetric_graph(n, edges)(_edge_weights(kind, pts, edges))
+            alone = symmetric_csr(n, edges, _edge_weights(kind, pts, edges))
             for coord in ("z", "xi1", "xi2"):
                 assert np.array_equal(getattr(c.points, coord), getattr(pts, coord))
             for attr in ("data", "indices", "indptr"):
@@ -411,6 +430,17 @@ class TestCloudDiameter:
         c = build_cloud(omega_r(delta), calabi_family(t), n=500, graph_k=12, seed=42)
         assert cloud_diameter(c) == _all_pairs(c.graph).max()
 
+    @pytest.mark.parametrize("domain, n, k", _cloud_diameter_cases())
+    @pytest.mark.parametrize("kind", [CONE_METRIC, calabi_family(1e-4)], ids=["cone", "t1e-4"])
+    def test_all_pairs_equals_shortest_path(self, domain, n, k, kind):
+        # _all_pairs calls dijkstra directly; shortest_path validates, then calls the same
+        c = build_cloud(domain, kind, n=n, graph_k=k, seed=n + k)
+        sources = None if n <= 500 else np.arange(0, n, 8)
+        want = scipy.sparse.csgraph.shortest_path(c.graph, method="D", directed=True,
+                                                  indices=sources)
+        got = _all_pairs(c.graph, sources)
+        assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
     def test_computes_few_rows(self, monkeypatch):
         # the estimates sweep's cloud: Omega_0.01 at t = 1e-3, n = 500, k = 12
         rows = []
@@ -450,7 +480,7 @@ class TestCloudDiameter:
         c = MetricCloud(
             points=sample_domain(OMEGA, 4, 0),
             kind=CONIFOLD_FLAT,
-            graph=_symmetric_graph(4, np.array([[0, 1], [2, 3]]))(np.ones(2)),
+            graph=symmetric_csr(4, np.array([[0, 1], [2, 3]]), np.ones(2)),
         )
         with pytest.raises(DegenerateMetric):
             cloud_diameter(c)
@@ -465,6 +495,23 @@ class TestGraph:
     def test_edges_match_set_oracle(self, domain, n, seed, k):
         pts = sample_domain(domain, n, seed)
         np.testing.assert_array_equal(_graph_edges(pts, k), set_graph_edges(pts, k))
+
+    @pytest.mark.parametrize(
+        "domain, n, seed, k",
+        [(OMEGA, 10, 1, 4), (OMEGA, 120, 5, 6), (omega_r(0.01), 500, 42, 12),
+         (omega_r(0.005), 300, 17, 8), (OMEGA, 2000, 42, 12)],
+    )
+    def test_key_ordered_csr_matches_lexsort_oracle(self, domain, n, seed, k):
+        structure = cloud_structure(domain, n, k, seed)
+        pts = sample_domain(domain, n, seed)
+        edges = _graph_edges(pts, k)
+        np.testing.assert_array_equal(structure.edges, edges)
+        for kind in (CONE_METRIC, calabi_family(1e-2)):
+            got = structure.weigh(kind).graph
+            want = symmetric_csr(n, edges, _edge_weights(kind, pts, edges))
+            for attr in ("indices", "indptr", "data"):
+                assert getattr(got, attr).dtype == getattr(want, attr).dtype
+                assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
 
     @pytest.mark.parametrize("n, seed", [(400, 0), (800, 8)])
     def test_backbone_repairs_knn_graph(self, n, seed):
@@ -576,10 +623,9 @@ class TestGH:
         assert base_angle(i, j) > 1.0  # genuinely far apart on the base
 
         edges = _graph_edges(pts, graph_k=10)
-        graph = _symmetric_graph(len(pts.z), edges)
         t = 1.0
-        d_t = _all_pairs(graph(_edge_weights(calabi_family(t), pts, edges)))
-        d_0 = _all_pairs(graph(_edge_weights(CONE_METRIC, pts, edges)))
+        d_t = _all_pairs(symmetric_csr(700, edges, _edge_weights(calabi_family(t), pts, edges)))
+        d_0 = _all_pairs(symmetric_csr(700, edges, _edge_weights(CONE_METRIC, pts, edges)))
 
         # cone side: both points collapse to the tip; through-tip cost is two
         # radial stubs of order 1e-3
@@ -612,11 +658,11 @@ class TestGH:
         assert got == gh_dense(t_grid, n, seed, k)
 
     def test_disconnected_graph_raises(self):
-        graph = _symmetric_graph(4, np.array([[0, 1], [2, 3]]))
+        graph = symmetric_csr(4, np.array([[0, 1], [2, 3]]), np.ones(2))
         with pytest.raises(DegenerateMetric):
-            _all_pairs(graph(np.ones(2)))
+            _all_pairs(graph)
         with pytest.raises(DegenerateMetric):
-            _all_pairs(graph(np.ones(2)), np.array([2]))
+            _all_pairs(graph, np.array([2]))
 
     @pytest.mark.parametrize("n", [_CHUNK + 1, 600, 1000])
     def test_serial_path_equals_pooled_path(self, n, monkeypatch):

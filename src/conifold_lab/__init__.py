@@ -59,7 +59,6 @@ from .profile import (
     cone_profile,
     eval_profile,
     kahler_criterion,
-    solve_uprime,
 )
 
 __version__ = "0.1.0"

@@ -338,7 +338,10 @@ def _exp_estimates(cfg: ExperimentConfig):
     """The estimate sweep; the Omega_delta clouds run on ``metricgeom._fork_map``.
 
     The workers build and measure the clouds of every delta while this
-    process computes the pointwise estimates.  The results are then read in
+    process computes the pointwise estimates.  Each worker has a fixed share
+    of the deltas, every width-th one (at width 2: 0.05 and 0.01 on one,
+    0.02 and 0.005 on the other); the clouds are of one size and cost about
+    the same, so the shares take about as long.  The results are then read in
     delta order up to the first (delta, t) whose sampled diameter is below
     omega_delta_eps, as a serial loop would stop; leaving the ``with`` block
     kills the work on the smaller deltas still running.  A worker's error
@@ -487,6 +490,9 @@ _CONFIG_KEYS = {
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     file_vals = _read_config_file(args.config) if args.config is not None else {}
+    for key in file_vals:
+        if key != "experiment" and key not in _CONFIG_KEYS and not key.startswith("tol_"):
+            raise ConfigError(f"unknown config key {key!r}")
 
     # every tolerance as (name=value, its text in an error): file tol_ keys, then --tol flags
     items = [(f"{k[4:]}={v}", f"{k}={v!r}") for k, v in file_vals.items() if k.startswith("tol_")]

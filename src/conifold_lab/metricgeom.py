@@ -56,11 +56,13 @@ over chunks, which does not depend on how the rows are grouped.
 independent items on forked workers, as many as the smallest of 4, the CPUs
 in the process's affinity mask and the item count, so ``taskset -c``
 narrows it.  The workers inherit the function's closure (graphs built in
-the parent are not copied), take the next item as soon as they are free,
-and send back only results, which come out in item order.  At width 1 the
-items run lazily in the calling process and no process is started.  Two
-callers use it: ``gh_upper_bounds`` over its chunks, and the CLI's
-``estimates`` sweep over its Omega_delta neighbourhoods.  Leaving its
+the parent are not copied).  Each has a fixed share of the items, every
+width-th one, and sends back only their results, which come out in item
+order.  A fixed share suits the two callers, whose items cost about the
+same: ``gh_upper_bounds`` runs equal chunks of source rows (only the last
+is shorter), and the CLI's ``estimates`` sweep measures four Omega_delta
+clouds of one size and reads them in delta order.  At width 1 the items
+run lazily in the calling process and no process is started.  Leaving its
 ``with`` block kills the workers, so a consumer that stops early, as the
 sweep does at its first small diameter, kills the work it no longer needs.
 
@@ -523,21 +525,17 @@ def _chunk_gaps(graphs: list[scipy.sparse.csr_matrix], start: int) -> list[float
     return [float(np.max(np.abs(_all_pairs(g, sources) - d_cone))) for g in family]
 
 
-def _serve(fn: Callable, items: Sequence, tasks: int,
+def _serve(fn: Callable, items: Sequence,
            results: multiprocessing.connection.Connection) -> None:
-    """Forked worker: apply ``fn`` to the items whose indices it reads from ``tasks``.
+    """Forked worker: apply ``fn`` to each of ``items`` in order.
 
-    Each index is 4 bytes, and a pipe read of 4 bytes is one index, so the
-    workers share the pipe without a lock.  For each item it sends
-    (index, True, result) or (index, False, the exception raised); it
-    returns once the pipe is empty.
+    For each item it sends (True, result) or (False, the exception raised).
     """
-    while index := os.read(tasks, 4):
-        i = int.from_bytes(index, "little")
+    for item in items:
         try:
-            out = (i, True, fn(items[i]))
+            out = (True, fn(item))
         except Exception as exc:
-            out = (i, False, exc)
+            out = (False, exc)
         results.send(out)
 
 
@@ -548,55 +546,43 @@ def _fork_map(fn: Callable, items: Sequence) -> Iterator[Iterator]:
     The width is min(``_max_workers()``, len(items)).  At width 1 it yields
     a lazy ``map`` in this process and starts no process.  Wider, it forks
     ``width`` workers, which inherit ``fn`` with its closure and ``items``
-    (the graphs they read are not copied).  Each worker takes the next item
-    index from one shared pipe as soon as it is free, and sends back only
-    its results, on a pipe of its own.  Item i's result, or the exception it
-    raised, comes when the consumer reaches i.  Leaving the ``with`` block
-    kills and reaps every worker, so a consumer that stops early kills the
-    work it no longer needs.  No lock is shared with a worker, so a kill
-    cannot leave one held (``multiprocessing.Pool.terminate`` can, when it
-    kills a worker that is writing its result, and then hangs).  If every
-    worker has exited and item i has no result (a worker died), reading i
-    raises ``ChildProcessError``.
+    (the graphs they read are not copied).  The assignment is fixed: worker
+    w computes items w, w + width, ... in order and sends back only their
+    results, on a pipe of its own, so item i's result is the next one on
+    worker i % width's pipe.  Both callers' items cost about the same
+    (equal GH chunks, Omega_delta clouds of one size), so fixed shares keep
+    the workers about as busy as handing out the next free item would.
+    Item i's result, or the exception it raised, comes when the consumer
+    reaches i.  Leaving the ``with`` block kills and reaps every worker, so
+    a consumer that stops early kills the work it no longer needs.  No lock
+    is shared with a worker, so a kill cannot leave one held
+    (``multiprocessing.Pool.terminate`` can, when it kills a worker that is
+    writing its result, and then hangs).  If item i's worker died before
+    sending its result, reading i raises ``ChildProcessError``.
     """
     width = min(_max_workers(), len(items))
     if width <= 1:
         yield map(fn, items)
         return
-    # every index is written, and the write end closed, before any worker
-    # reads: a few items' indices fit the pipe's buffer, and the pipe reads
-    # empty once they are taken
-    tasks, writer = os.pipe()
-    os.write(writer, b"".join(i.to_bytes(4, "little") for i in range(len(items))))
-    os.close(writer)
     # fork, not spawn: a spawned worker would import numpy and scipy again
     # and could not inherit the closure
     ctx = multiprocessing.get_context("fork")
     workers, readers = [], []
 
     def results():
-        done = {}  # item index -> (ok, result or exception)
-        live = list(readers)
         for i in range(len(items)):
-            while i not in done:
-                if not live:
-                    raise ChildProcessError(f"no worker sent the result of item {i}")
-                for reader in multiprocessing.connection.wait(live):
-                    try:
-                        j, ok, value = reader.recv()
-                    except EOFError:  # the worker has exited
-                        live.remove(reader)
-                    else:
-                        done[j] = ok, value
-            ok, value = done.pop(i)
+            try:
+                ok, value = readers[i % width].recv()
+            except EOFError:  # the worker has exited
+                raise ChildProcessError(f"no worker sent the result of item {i}") from None
             if not ok:
                 raise value
             yield value
 
     try:
-        for _ in range(width):
+        for w in range(width):
             reader, writer = ctx.Pipe(duplex=False)
-            workers.append(ctx.Process(target=_serve, args=(fn, items, tasks, writer)))
+            workers.append(ctx.Process(target=_serve, args=(fn, items[w::width], writer)))
             workers[-1].start()
             writer.close()
             readers.append(reader)
@@ -608,7 +594,6 @@ def _fork_map(fn: Callable, items: Sequence) -> Iterator[Iterator]:
             proc.join()
         for reader in readers:
             reader.close()
-        os.close(tasks)
 
 
 def gh_upper_bounds(

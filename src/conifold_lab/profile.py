@@ -142,11 +142,6 @@ def _cone(rho, g) -> ProfileEval:
     return ProfileEval(rho=rho, uprime=CONE_UPRIME_COEFF * g, usecond=CONE_USECOND_COEFF * g)
 
 
-def solve_uprime(params: ProfileParams, rho: float) -> float:
-    """The unique positive root u'(rho, t) of the profile cubic."""
-    return eval_profile(params, rho).uprime
-
-
 def eval_profile(params: ProfileParams, rho: float) -> ProfileEval:
     """u' from the cubic and u'' from (t + u') u' u'' = e^{2 rho}."""
     if not RHO_CLAMP[0] <= rho <= RHO_CLAMP[1]:

@@ -35,3 +35,27 @@ def radial_length_quadrature(rho_top, t):
         lambda r: math.sqrt(eval_profile(params, r).usecond), rho_top - 120.0, rho_top, **QUAD_OPTS
     )
     return 0.5 * val
+
+
+def fs_radial_distance(c):
+    """Fubini-Study geodesic distance between unit vectors with |<p,q>| = c, by quadrature."""
+    if c < 1e-9:
+        val, _ = scipy.integrate.quad(lambda r: 1.0 / (1.0 + r * r), 0.0, 1.0, **QUAD_OPTS)
+        return 2.0 * val
+    reach = math.sqrt(max(0.0, 1.0 - c * c)) / c
+    val, _ = scipy.integrate.quad(lambda r: 1.0 / (1.0 + r * r), 0.0, reach, **QUAD_OPTS)
+    return val
+
+
+def fs_diameter_sweep(n_dirs=512):
+    """Quadrature oracle for the base diameter: distances from a fixed point.
+
+    Homogeneity makes the radius equal to the diameter and rotational
+    symmetry leaves only the polar angle, so the target sweeps a uniform
+    grid in cos(theta) plus the exact antipode.
+    """
+    best = fs_radial_distance(0.0)
+    for k in range(n_dirs):
+        cos_theta = 1.0 - 2.0 * (k + 0.5) / n_dirs
+        best = max(best, fs_radial_distance(math.sqrt(0.5 * (1.0 + cos_theta))))
+    return best

@@ -32,7 +32,7 @@ from conifold_lab.metricgeom import (
     sample_domain,
     zero_section_diameter,
 )
-from conifold_lab.profile import ProfileParams, eval_profile, eval_profiles, solve_uprime
+from conifold_lab.profile import ProfileParams, eval_profile, eval_profiles
 from conifold_lab.cli import fit_power_law
 from oracles import zero_section_area_quadrature
 
@@ -66,7 +66,7 @@ def test_01_profile_exactness():
 def test_02_cone_closed_form():
     worst = 0.0
     for r in np.linspace(-20.0, 0.0, 400):
-        got = solve_uprime(ProfileParams(0.0), float(r))
+        got = eval_profile(ProfileParams(0.0), float(r)).uprime
         want = 1.5 ** (1 / 3) * math.exp(2 * float(r) / 3)
         worst = max(worst, abs(got - want) / want)
     report(2, "cone-closed-form", worst <= 1e-10, f"rel={worst:.3g}")

@@ -213,6 +213,21 @@ class TestMainAndConfigFile:
         conf.write_text(f"experiment = profile-table\nn = 12\nout = {tmp_path/'r.json'}\n")
         assert main(["--config", str(conf)]) == 0
 
+    @pytest.mark.parametrize("line", [
+        "sede = 7",  # a misspelt key
+        "tolcubic_residual = 5",  # a tolerance without its tol_ prefix
+        "n_samples = 12",  # the field name, not the key
+        "t-grid = 1,0.5",  # the flag spelling
+    ])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, line):
+        out = tmp_path / "r.json"
+        conf = tmp_path / "lab.conf"
+        conf.write_text(f"experiment = profile-table\nn = 12\n{line}\nout = {out}\n")
+        assert main(["--config", str(conf)]) == 2
+        key = line.partition("=")[0].strip()
+        assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_experiment(self):
         assert main([]) == 2
 

@@ -53,7 +53,12 @@ from conifold_lab.metricgeom import (
     zero_section_area,
     zero_section_diameter,
 )
-from oracles import QUAD_OPTS, radial_length_quadrature, zero_section_area_quadrature
+from oracles import (
+    QUAD_OPTS,
+    fs_diameter_sweep,
+    radial_length_quadrature,
+    zero_section_area_quadrature,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -61,30 +66,6 @@ RNG = np.random.default_rng(7)
 def cone_radial_closed_form(rho_top):
     # (1/2) * integral of sqrt((2/3)^{2/3}) e^{rho/3} d rho = (3/2)^{2/3} e^{rho/3}
     return 1.5 ** (2 / 3) * math.exp(rho_top / 3.0)
-
-
-def fs_radial_distance(c):
-    """Fubini-Study geodesic distance between unit vectors with |<p,q>| = c, by quadrature."""
-    if c < 1e-9:
-        val, _ = scipy.integrate.quad(lambda r: 1.0 / (1.0 + r * r), 0.0, 1.0, **QUAD_OPTS)
-        return 2.0 * val
-    reach = math.sqrt(max(0.0, 1.0 - c * c)) / c
-    val, _ = scipy.integrate.quad(lambda r: 1.0 / (1.0 + r * r), 0.0, reach, **QUAD_OPTS)
-    return val
-
-
-def fs_diameter_sweep(n_dirs=512):
-    """Quadrature oracle for the base diameter: distances from a fixed point.
-
-    Homogeneity makes the radius equal to the diameter and rotational
-    symmetry leaves only the polar angle, so the target sweeps a uniform
-    grid in cos(theta) plus the exact antipode.
-    """
-    best = fs_radial_distance(0.0)
-    for k in range(n_dirs):
-        cos_theta = 1.0 - 2.0 * (k + 0.5) / n_dirs
-        best = max(best, fs_radial_distance(math.sqrt(0.5 * (1.0 + cos_theta))))
-    return best
 
 
 def stack(points):
@@ -759,6 +740,27 @@ class TestForkMap:
         monkeypatch.setattr(metricgeom, "_max_workers", lambda: width)
         with _fork_map(lambda i: slow_square(i), range(9)) as results:
             assert list(results) == [float(i) ** 2 for i in range(1, 10)]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_results_larger_than_a_pipe_buffer(self, monkeypatch, width):
+        # each result is about 200 KB, three times a 64 KB pipe buffer, so a
+        # worker blocks in send until the consumer reads that item
+        def hung(signum, frame):
+            # not a TimeoutError: Process.join takes any OSError for "still running"
+            raise AssertionError("_fork_map did not deliver every result")
+
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: width)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with _fork_map(lambda i: np.full(25_000, float(i)), range(9)) as results:
+                got = list(results)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [a.nbytes for a in got] == [200_000] * 9
+        assert all((a == i).all() for i, a in enumerate(got))
         assert multiprocessing.active_children() == []
 
     def test_width_one_is_lazy(self, monkeypatch):

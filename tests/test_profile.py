@@ -18,10 +18,14 @@ from conifold_lab.profile import (
     eval_profile,
     eval_profiles,
     kahler_criterion,
-    solve_uprime,
 )
 
 RNG = np.random.default_rng(77)
+
+
+def solve_uprime(params, rho):
+    """The unique positive root u'(rho, t) of the profile cubic."""
+    return eval_profile(params, rho).uprime
 
 
 def bisect_root(t, rho, lo=0.0, hi=None, iters=200):

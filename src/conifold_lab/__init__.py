@@ -38,9 +38,7 @@ from .forms import (
 from .metricgeom import (
     CloudStructure,
     GHEstimate,
-    MetricCloud,
     build_cloud,
-    build_clouds,
     cloud_diameter,
     cloud_structure,
     fs_diameter,

@@ -282,8 +282,8 @@ def _omega_delta_diameters(cfg: ExperimentConfig, delta: float) -> list[tuple[fl
                                            cfg.graph_k, cfg.seed)
     out = []
     for t in t_small:
-        cloud = structure.weigh(forms.calabi_family(t))
-        diam = metricgeom.cloud_diameter(cloud) + 2.0 * metricgeom.radial_stub(
+        graph = structure.weigh(forms.calabi_family(t))
+        diam = metricgeom.cloud_diameter(graph) + 2.0 * metricgeom.radial_stub(
             t, 2.0 * math.log(delta) - metricgeom.RHO_DEPTH)
         out.append((t, diam))
         if diam < eps:
@@ -471,7 +471,10 @@ def _read_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"bad config line {line!r}")
                 key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
+                key = key.strip()
+                if key in values:
+                    raise ConfigError(f"repeated config key {key!r}")
+                values[key] = val.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values

@@ -26,15 +26,15 @@ row order.  Each graph stores both directions of every edge in one CSR
 structure whose arcs are sorted by the same key, row * n + col.
 
 ``cloud_structure`` builds the sample, the edge set and the CSR structure
-once per (domain, n, k, seed); ``CloudStructure.weigh`` weighs it under one
-metric kind when a caller asks, so the CLI's ``estimates`` sweep never
-weighs a t after its first small diameter.  ``build_clouds`` maps the
-weigher over its kinds; ``build_cloud`` is its batch of one, and
-``gh_upper_bounds`` takes the cone's and the family's graphs from it.
-Dijkstra rows come from ``scipy.sparse.csgraph.dijkstra`` itself:
-``shortest_path(method="D")`` validates the graph and then calls it.
+once per (domain, n, k, seed); ``CloudStructure.weigh`` returns the
+weighted graph of one metric kind, a ``scipy.sparse.csr_matrix``, when a
+caller asks, so the CLI's ``estimates`` sweep never weighs a t after its
+first small diameter.  ``gh_upper_bounds`` maps the weigher over the cone
+and each t; ``build_cloud`` weighs one kind of a fresh structure.  A graph
+is the only cloud type: the points stay on the structure, and no distance
+matrix is held.  Dijkstra rows come from ``scipy.sparse.csgraph.dijkstra``
+itself: ``shortest_path(method="D")`` validates the graph and then calls it.
 
-A ``MetricCloud`` holds its weighted graph, not a distance matrix.
 ``cloud_diameter`` is exact from a few Dijkstra rows.  It bounds each
 node's farthest point by the rows already computed, as Takes & Kosters'
 BoundingDiameters (2011) does, but more tightly: by the node's column
@@ -112,20 +112,6 @@ _DIAM_ROWS = 8
 
 #: KD-tree leaf size for the 8-real contraction embedding.
 _LEAFSIZE = 32
-
-
-@dataclass(frozen=True)
-class MetricCloud:
-    """Sampled points (one stacked point) with their weighted graph.
-
-    ``graph`` stores every edge in both directions (sorted CSR).  No
-    distance matrix is held: ``cloud_diameter`` needs only a few Dijkstra
-    rows, and ``_all_pairs(c.graph)`` gives the full matrix.
-    """
-
-    points: ResolvedPoint
-    kind: FormKind
-    graph: scipy.sparse.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -411,12 +397,11 @@ class CloudStructure:
     indptr: np.ndarray
     perm: np.ndarray
 
-    def weigh(self, kind: FormKind) -> MetricCloud:
-        """The cloud of one metric kind: one batched weight evaluation (no Dijkstra)."""
+    def weigh(self, kind: FormKind) -> scipy.sparse.csr_matrix:
+        """The graph of one metric kind, both arcs of each edge: one batched weight evaluation."""
         n = len(self.indptr) - 1
         data = _edge_weights(kind, self.points, self.edges)[self.perm]
-        graph = scipy.sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-        return MetricCloud(points=self.points, kind=kind, graph=graph)
+        return scipy.sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
 
 def cloud_structure(d: DomainSpec, n: int, graph_k: int, seed: int) -> CloudStructure:
@@ -440,29 +425,15 @@ def cloud_structure(d: DomainSpec, n: int, graph_k: int, seed: int) -> CloudStru
                           indptr=indptr, perm=order % len(edges))
 
 
-def build_clouds(
-    d: DomainSpec, kinds: list[FormKind], n: int, graph_k: int, seed: int
-) -> list[MetricCloud]:
-    """One ``cloud_structure`` weighed under each kind (no Dijkstra).
-
-    The sample, the edge set and the CSR structure depend only on
-    ``(d, n, graph_k, seed)``, so they are built once; each kind adds one
-    batched weight evaluation, and the clouds share points and structure.
-    Raises ``ValueError`` unless n >= 10 and graph_k >= 4, before any kind
-    is weighed.
-    """
-    return list(map(cloud_structure(d, n, graph_k, seed).weigh, kinds))
-
-
 def build_cloud(
     d: DomainSpec, kind: FormKind, n: int, graph_k: int, seed: int
-) -> MetricCloud:
-    """One kind's cloud: ``build_clouds`` as a batch of one."""
-    return build_clouds(d, [kind], n, graph_k, seed)[0]
+) -> scipy.sparse.csr_matrix:
+    """One kind's graph on a fresh ``cloud_structure`` (no Dijkstra)."""
+    return cloud_structure(d, n, graph_k, seed).weigh(kind)
 
 
-def cloud_diameter(c: MetricCloud) -> float:
-    """Largest sampled distance, equal bit for bit to ``_all_pairs(c.graph).max()``.
+def cloud_diameter(graph: scipy.sparse.csr_matrix) -> float:
+    """Largest sampled distance, equal bit for bit to ``_all_pairs(graph).max()``.
 
     Bounds on each node's farthest point replace the full matrix, as in
     Takes & Kosters' BoundingDiameters (2011).  Each round computes the
@@ -485,7 +456,7 @@ def cloud_diameter(c: MetricCloud) -> float:
     not an approximation of it.  A disconnected graph raises
     ``DegenerateMetric`` from the first row.
     """
-    n = c.graph.shape[0]
+    n = graph.shape[0]
     slack = 1.0 + 3.0 * n * np.finfo(float).eps
     cand = np.arange(n)
     lo, hi = np.zeros(n), np.full(n, np.inf)
@@ -493,7 +464,7 @@ def cloud_diameter(c: MetricCloud) -> float:
     best, by_hi = 0.0, True
     while cand.size:
         order = np.argsort(-hi if by_hi else lo, kind="stable")
-        rows = _all_pairs(c.graph, cand[order[:_DIAM_ROWS]])
+        rows = _all_pairs(graph, cand[order[:_DIAM_ROWS]])
         ecc = rows.max(axis=1, keepdims=True)
         best = max(best, float(ecc.max()))
         rest = np.sort(order[_DIAM_ROWS:])
@@ -610,11 +581,11 @@ def gh_upper_bounds(
     included.  The discrepancy is reduced over chunks of source rows, so no
     n x n matrix is held.
 
-    The graphs come from one ``build_clouds`` call (cone first, then each t),
-    so the sample and edge set are built once.  The chunks go through
-    ``_fork_map``, on min(``_max_workers()``, chunk count) processes forked
-    after the build: they inherit the graphs rather than receive copies, and
-    each chunk returns only its per-t maxima.
+    The graphs come from one ``cloud_structure`` weighed under the cone and
+    then each t, so the sample and edge set are built once.  The chunks go
+    through ``_fork_map``, on min(``_max_workers()``, chunk count) processes
+    forked after the build: they inherit the graphs rather than receive
+    copies, and each chunk returns only its per-t maxima.
     The maximum over chunks does not depend on their grouping, so the bounds
     equal those of the serial loop, which runs in this process, starting
     none, when that width is 1.  A worker's ``DegenerateMetric`` reaches the
@@ -622,7 +593,7 @@ def gh_upper_bounds(
     in (0, 1], n >= 10 and graph_k >= 4.
     """
     kinds = [CONE_METRIC] + [calabi_family(t) for t in t_grid]
-    graphs = [c.graph for c in build_clouds(OMEGA, kinds, n, graph_k, seed)]
+    graphs = list(map(cloud_structure(OMEGA, n, graph_k, seed).weigh, kinds))
     with _fork_map(lambda start: _chunk_gaps(graphs, start), range(0, n, _CHUNK)) as gaps:
         return [GHEstimate(t=t, bound=0.5 * max(col)) for t, col in zip(t_grid, zip(*gaps))]
 

@@ -8,6 +8,7 @@ import pytest
 
 from conifold_lab.chart import (
     OMEGA,
+    DomainSpec,
     FlopPoint,
     ResolvedPoint,
     contract,
@@ -183,8 +184,10 @@ class TestDomains:
         assert in_domain(p0, omega_r(1e-8))
 
     def test_bad_spec(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="OmegaR requires r > 0"):
             omega_r(-1.0)
+        with pytest.raises(ValueError, match="unknown domain kind 'omega'"):
+            DomainSpec("omega")
 
 
 class TestFibreCoordinate:

@@ -1,6 +1,8 @@
 """CLI runner: fits, reports, determinism, exit codes."""
 
+import csv
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -59,6 +61,9 @@ class TestConfig:
             ExperimentConfig(experiment="estimates", t_grid=())
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="estimates", t_grid=(0.1, 1.0))
+        for grid in ((1.5, 0.5), (1.0, 0.0), (0.5, -0.1), (float("nan"),)):
+            with pytest.raises(ConfigError, match=r"t_grid entries must lie in \(0, 1\]"):
+                ExperimentConfig(experiment="estimates", t_grid=grid)
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="estimates", n_samples=3)
         with pytest.raises(ConfigError):
@@ -109,7 +114,60 @@ class TestProfileTable:
         assert outs[0] == outs[1]
 
 
+def csv_cell(value):
+    """The CSV text of one JSON row value: 17 significant digits, empty for None."""
+    if value is None:
+        return ""
+    return "%.17g" % value if isinstance(value, float) else str(value)
+
+
+class TestCsvMirrorsJson:
+    @pytest.mark.parametrize("argv", [
+        # rows of the Omega_delta sweep leave the pointwise columns None
+        ["estimates", "--n", "400", "--seed", "3"],
+        # rows hold the seed as an int
+        ["gh-converge", "--n", "120", "--k", "6", "--t-grid", "1,0.1", "--seed", "2"],
+    ], ids=["estimates", "gh-converge"])
+    def test_every_cell(self, tmp_path, capsys, argv):
+        json_out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
+        codes = [main([*argv, "--out", str(json_out)]),
+                 main([*argv, "--format", "csv", "--out", str(csv_out)])]
+        assert codes[0] == codes[1]
+        rows = json.loads(json_out.read_text())["rows"]
+        with open(csv_out, newline="", encoding="utf-8") as fh:
+            header, *cells = list(csv.reader(fh))
+        assert header == list(rows[0])
+        assert cells == [[csv_cell(row[k]) for k in header] for row in rows]
+        # both runs reach a cell that is not a float
+        kinds = {type(v) for row in rows for v in row.values()}
+        assert kinds == ({float, type(None)} if argv[0] == "estimates" else {float, int})
+
+
 class TestDiamScaling:
+    @pytest.mark.parametrize("grid, fitted", [
+        ((0.5,), [0.5, 0.1, 0.01, 0.001]),
+        ((1.0, 0.01), [1.0, 0.1, 0.01, 0.001]),
+        ((0.1,), [0.1, 0.01, 0.001]),
+    ])
+    def test_short_grid_fit_is_extended(self, tmp_path, monkeypatch, grid, fitted):
+        # fewer than 3 t: the fit adds 0.1, 0.01 and 0.001; the rows keep the grid
+        pairs_seen = []
+        real = cli.fit_power_law
+
+        def spy(pairs):
+            pairs_seen.append([t for t, _ in pairs])
+            return real(pairs)
+
+        monkeypatch.setattr(cli, "fit_power_law", spy)
+        out = tmp_path / "diam.json"
+        assert run(ExperimentConfig(experiment="diam-scaling", t_grid=grid,
+                                    output_path=str(out))) == 0
+        assert pairs_seen == [fitted]
+        report = json.loads(out.read_text())
+        assert [row["t"] for row in report["rows"]] == list(grid)
+        byname = {a["name"]: a for a in report["asserts"]}
+        assert abs(byname["diam_exponent"]["observed"] - 0.5) <= 1e-12
+
     def test_json_contents(self, tmp_path):
         out = tmp_path / "diam.json"
         cfg = ExperimentConfig(
@@ -180,6 +238,19 @@ class TestExitCodes:
         )
         assert run(cfg) == 2
 
+    def test_failed_report_write_is_2(self, tmp_path, capsys, monkeypatch):
+        # JSON has no NaN: the report write fails after the run, as an I/O error
+        def nan_report(cfg):
+            return [{"t": 1.0, "value": math.nan}], [cli._report_only("value", math.nan)]
+
+        monkeypatch.setitem(cli._RUNNERS, "profile-table", nan_report)
+        out = tmp_path / "r.json"
+        assert main(["profile-table", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "io error: Out of range float values are not JSON compliant" in captured.err
+        assert captured.out == ""  # no verdict printed
+        assert out.read_text() == ""
+
     def test_unwritable_output_runs_nothing(self, tmp_path, capsys, monkeypatch):
         def never(cfg):
             raise AssertionError("the experiment ran before its output was opened")
@@ -226,6 +297,20 @@ class TestMainAndConfigFile:
         assert main(["--config", str(conf)]) == 2
         key = line.partition("=")[0].strip()
         assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, key", [
+        (["seed = 7", "seed = 9"], "seed"),
+        (["n = 12", "n = 12"], "n"),  # even with one value
+        (["tol_cubic_residual = 1e-7", "tol_cubic_residual=1e-8"], "tol_cubic_residual"),
+        (["experiment = profile-table", "experiment = diam-scaling"], "experiment"),
+    ], ids=["seed", "n-same-value", "tol", "experiment"])
+    def test_repeated_key_is_config_error(self, tmp_path, capsys, lines, key):
+        out = tmp_path / "r.json"
+        conf = tmp_path / "lab.conf"
+        conf.write_text("\n".join([lines[0], "# a comment between", *lines[1:], f"out = {out}"]))
+        assert main(["profile-table", "--config", str(conf)]) == 2
+        assert f"config error: repeated config key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_experiment(self):
@@ -303,9 +388,11 @@ class TestFlagsMatchFile:
         assert "config error: cannot read config file" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["n = five", "k = five", "seed = five", "format = xml"])
+    @pytest.mark.parametrize("line", ["n = five", "k = five", "seed = five", "format = xml",
+                                      "seed 7"])
     def test_bad_file_text(self, tmp_path, capsys, line):
-        # as flags, argparse's own type and choices checks reject these
+        # as flags, argparse's own type and choices checks reject the values;
+        # a line without "=" has no flag form
         conf = tmp_path / "lab.conf"
         conf.write_text(line + "\n")
         assert main(["profile-table", "--config", str(conf), "--out", str(tmp_path / "r")]) == 2
@@ -384,7 +471,8 @@ class TestEstimatesSweep:
             return real(cfg, delta)
 
         def hung(signum, frame):
-            raise TimeoutError("estimates did not return")
+            # not a TimeoutError: Process.join takes any OSError for "still running"
+            raise AssertionError("estimates did not return")
 
         monkeypatch.setattr(metricgeom, "_max_workers", lambda: 2)
         monkeypatch.setattr(cli, "_omega_delta_diameters", failing)

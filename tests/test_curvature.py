@@ -190,6 +190,12 @@ class TestRicciPotential:
     def test_empty_is_zero(self):
         assert ricci_potential_residual(0.5, []) == 0.0
 
+    @pytest.mark.parametrize("t", [-1e-3, 1.5, float("nan")])
+    def test_t_outside_unit_interval(self, t):
+        # checked before the samples, so even no samples is an error
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            ricci_potential_residual(t, [])
+
     def test_nonfinite_sample(self):
         for bad in (float("nan"), float("-inf")):
             with pytest.raises(NonFinite):

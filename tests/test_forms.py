@@ -111,6 +111,10 @@ class TestFormKind:
         with pytest.raises(ValueError):
             FormKind("Tau", 0.5)
 
+    def test_unknown_tag(self):
+        with pytest.raises(ValueError, match="unknown form kind 'tau'"):
+            FormKind("tau")
+
 
 class TestEvalForm:
     def test_fubini_study_at_origin(self):
@@ -261,6 +265,8 @@ class TestStackedHelpers:
             with pytest.raises(OnZeroSection):
                 vector_norm_sq(OMEGA_HAT, v, pts)
         pts = stack(good)
+        with pytest.raises(ValueError, match="unknown vector field 'U'"):
+            vector_norm_sq(OMEGA_HAT, "U", pts)
         with pytest.raises(NotPositiveDefinite):
             compare_forms(eval_form(OMEGA_HAT, pts), eval_form(TAU, pts))
         other = stack(good[:2] + SHELL[3:4])

@@ -31,7 +31,7 @@ from conifold_lab.forms import (
     eval_form,
 )
 from conifold_lab.metricgeom import (
-    MetricCloud,
+    GHEstimate,
     _CHUNK,
     _all_pairs,
     _edge_weights,
@@ -40,7 +40,6 @@ from conifold_lab.metricgeom import (
     _graph_edges,
     _halton,
     build_cloud,
-    build_clouds,
     cloud_diameter,
     cloud_structure,
     fs_diameter,
@@ -243,6 +242,11 @@ class TestZeroSectionArea:
         for t in (1e-3, 1e-2):
             assert zero_section_area(t) == pytest.approx(a1 * t, rel=1e-8)
 
+    @pytest.mark.parametrize("t", [0.0, -0.5, 1.5, float("nan")])
+    def test_t_outside_unit_interval(self, t):
+        with pytest.raises(ValueError, match=r"t must lie in \(0, 1\]"):
+            zero_section_area(t)
+
 
 class TestZeroSectionDiameter:
     def test_sqrt_scaling(self):
@@ -260,6 +264,11 @@ class TestZeroSectionDiameter:
         for t in (1.0, 0.1, 0.01, 0.001):
             assert zero_section_diameter(t) / t ** (1 / 3) <= d1 * (1 + 1e-12)
 
+    @pytest.mark.parametrize("t", [0.0, -0.5, 1.5, float("nan")])
+    def test_t_outside_unit_interval(self, t):
+        with pytest.raises(ValueError, match=r"t must lie in \(0, 1\]"):
+            zero_section_diameter(t)
+
 
 class TestSampling:
     def test_points_in_domain(self):
@@ -272,6 +281,11 @@ class TestSampling:
     def test_omega_r_respected(self):
         d = omega_r(0.05)
         assert (rho(sample_domain(d, 100, seed=4)) <= d.rho_max() + 1e-12).all()
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_needs_a_point(self, n):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            sample_domain(OMEGA, n, seed=11)
 
     def test_deterministic(self):
         a = sample_domain(OMEGA, 50, seed=11)
@@ -303,19 +317,19 @@ class TestSampling:
 
 class TestCloud:
     def test_metric_properties(self):
-        c = build_cloud(OMEGA, CONIFOLD_FLAT, n=120, graph_k=6, seed=5)
-        d = _all_pairs(c.graph)
+        graph = build_cloud(OMEGA, CONIFOLD_FLAT, n=120, graph_k=6, seed=5)
+        d = _all_pairs(graph)
         assert np.allclose(d, d.T)
         assert np.allclose(np.diag(d), 0.0)
         assert np.isfinite(d).all()
-        idx = RNG.integers(0, len(c.points.z), size=(200, 3))
+        idx = RNG.integers(0, graph.shape[0], size=(200, 3))
         for i, j, k in idx:
             assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
     def test_doubling_k_never_increases_distances(self):
-        c6 = build_cloud(OMEGA, CONIFOLD_FLAT, n=120, graph_k=6, seed=5)
-        c12 = build_cloud(OMEGA, CONIFOLD_FLAT, n=120, graph_k=12, seed=5)
-        assert (_all_pairs(c12.graph) <= _all_pairs(c6.graph) + 1e-12).all()
+        g6 = build_cloud(OMEGA, CONIFOLD_FLAT, n=120, graph_k=6, seed=5)
+        g12 = build_cloud(OMEGA, CONIFOLD_FLAT, n=120, graph_k=12, seed=5)
+        assert (_all_pairs(g12) <= _all_pairs(g6) + 1e-12).all()
 
     def test_flat_kind_dominates_radial_gap(self):
         # under the flat pullback kind, distances along one radial ray are
@@ -335,12 +349,8 @@ class TestCloud:
                 assert dist[i, j] >= gap * 0.95
 
     def test_single_point_cloud_diameter(self):
-        c = MetricCloud(
-            points=stack([ResolvedPoint(0, 0.5, 0)]),
-            kind=CONIFOLD_FLAT,
-            graph=symmetric_csr(1, np.empty((0, 2), dtype=np.intp), np.empty(0)),
-        )
-        assert cloud_diameter(c) == 0.0
+        graph = symmetric_csr(1, np.empty((0, 2), dtype=np.intp), np.empty(0))
+        assert cloud_diameter(graph) == 0.0
 
     def test_validation(self, monkeypatch):
         def never(*args):
@@ -355,22 +365,23 @@ class TestCloud:
             build_cloud(OMEGA, CONIFOLD_FLAT, n=50, graph_k=2, seed=1)
         for n, k in ((9, 12), (50, 3)):
             with pytest.raises(ValueError):
-                build_clouds(OMEGA, [CONE_METRIC, calabi_family(0.5)], n=n, graph_k=k, seed=1)
+                cloud_structure(OMEGA, n=n, graph_k=k, seed=1)
 
     def test_shared_clouds_equal_clouds_built_alone(self):
         # one sample and structure weighted per kind: no kind's weights leak into another's
         d, n, k, seed = omega_r(0.05), 300, 8, 17
         kinds = [calabi_family(t) for t in (1e-2, 1e-3, 1e-4)] + [CONE_METRIC]
-        clouds = build_clouds(d, kinds, n=n, graph_k=k, seed=seed)
-        assert [c.kind for c in clouds] == kinds
-        for kind, c in zip(kinds, clouds):
-            pts = sample_domain(d, n, seed)
-            edges = _graph_edges(pts, k)
+        structure = cloud_structure(d, n, k, seed)
+        pts = sample_domain(d, n, seed)
+        for coord in ("z", "xi1", "xi2"):
+            assert np.array_equal(getattr(structure.points, coord), getattr(pts, coord))
+        edges = _graph_edges(pts, k)
+        for kind, graph in zip(kinds, map(structure.weigh, kinds)):
             alone = symmetric_csr(n, edges, _edge_weights(kind, pts, edges))
-            for coord in ("z", "xi1", "xi2"):
-                assert np.array_equal(getattr(c.points, coord), getattr(pts, coord))
+            assert graph.shape == alone.shape
             for attr in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(c.graph, attr), getattr(alone, attr))
+                assert np.array_equal(getattr(graph, attr), getattr(alone, attr))
+            assert np.array_equal(build_cloud(d, kind, n, k, seed).data, alone.data)
 
     def test_degenerate_domain_rejected(self):
         # a domain so deep the family metric cannot be evaluated on it
@@ -380,8 +391,8 @@ class TestCloud:
     def test_family_diameter_bounded_over_t(self):
         diams = []
         for t in (1.0, 0.1, 0.01):
-            c = build_cloud(OMEGA, calabi_family(t), n=250, graph_k=8, seed=9)
-            diams.append(cloud_diameter(c))
+            graph = build_cloud(OMEGA, calabi_family(t), n=250, graph_k=8, seed=9)
+            diams.append(cloud_diameter(graph))
         assert max(diams) <= 2.0 * min(diams)
 
 
@@ -401,25 +412,25 @@ class TestCloudDiameter:
         ids=["cone", "flat", "t1", "t1e-2", "t1e-4"],
     )
     def test_equals_full_matrix_maximum(self, domain, n, k, kind):
-        c = build_cloud(domain, kind, n=n, graph_k=k, seed=n + k)
-        assert cloud_diameter(c) == _all_pairs(c.graph).max()
+        graph = build_cloud(domain, kind, n=n, graph_k=k, seed=n + k)
+        assert cloud_diameter(graph) == _all_pairs(graph).max()
 
     @pytest.mark.parametrize("t", [1e-2, 1e-3, 1e-4])
     @pytest.mark.parametrize("delta", [0.05, 0.02, 0.01, 0.005])
     def test_equals_full_matrix_maximum_on_sweep_clouds(self, delta, t):
         # the clouds of the estimates sweep at its defaults
-        c = build_cloud(omega_r(delta), calabi_family(t), n=500, graph_k=12, seed=42)
-        assert cloud_diameter(c) == _all_pairs(c.graph).max()
+        graph = build_cloud(omega_r(delta), calabi_family(t), n=500, graph_k=12, seed=42)
+        assert cloud_diameter(graph) == _all_pairs(graph).max()
 
     @pytest.mark.parametrize("domain, n, k", _cloud_diameter_cases())
     @pytest.mark.parametrize("kind", [CONE_METRIC, calabi_family(1e-4)], ids=["cone", "t1e-4"])
     def test_all_pairs_equals_shortest_path(self, domain, n, k, kind):
         # _all_pairs calls dijkstra directly; shortest_path validates, then calls the same
-        c = build_cloud(domain, kind, n=n, graph_k=k, seed=n + k)
+        graph = build_cloud(domain, kind, n=n, graph_k=k, seed=n + k)
         sources = None if n <= 500 else np.arange(0, n, 8)
-        want = scipy.sparse.csgraph.shortest_path(c.graph, method="D", directed=True,
+        want = scipy.sparse.csgraph.shortest_path(graph, method="D", directed=True,
                                                   indices=sources)
-        got = _all_pairs(c.graph, sources)
+        got = _all_pairs(graph, sources)
         assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
 
     def test_computes_few_rows(self, monkeypatch):
@@ -430,21 +441,21 @@ class TestCloudDiameter:
             rows.append(graph.shape[0] if sources is None else len(sources))
             return _all_pairs(graph, sources)
 
-        c = build_cloud(omega_r(0.01), calabi_family(1e-3), n=500, graph_k=12, seed=42)
+        graph = build_cloud(omega_r(0.01), calabi_family(1e-3), n=500, graph_k=12, seed=42)
         monkeypatch.setattr(metricgeom, "_all_pairs", counting)
-        diam = cloud_diameter(c)
+        diam = cloud_diameter(graph)
         assert sum(rows) < 500 / 4
-        assert diam == _all_pairs(c.graph).max()
+        assert diam == _all_pairs(graph).max()
 
     def test_estimates_clouds_take_few_rows(self, monkeypatch):
         # the eight clouds estimates measures at its defaults: every t of
         # delta = 0.05 and 0.02, then delta = 0.01 until t = 1e-3 falls under eps;
         # Takes-Kosters' upper bound ecc + d takes 627 rows on them
         kinds = [calabi_family(t) for t in (1e-2, 1e-3, 1e-4)]
-        clouds = [
-            c
+        graphs = [
+            cloud_structure(omega_r(delta), n=500, graph_k=12, seed=42).weigh(kind)
             for delta, count in ((0.05, 3), (0.02, 3), (0.01, 2))
-            for c in build_clouds(omega_r(delta), kinds, n=500, graph_k=12, seed=42)[:count]
+            for kind in kinds[:count]
         ]
         rows = []
 
@@ -453,18 +464,14 @@ class TestCloudDiameter:
             return _all_pairs(graph, sources)
 
         monkeypatch.setattr(metricgeom, "_all_pairs", counting)
-        for c in clouds:
-            cloud_diameter(c)
+        for graph in graphs:
+            cloud_diameter(graph)
         assert sum(rows) <= 520
 
     def test_disconnected_cloud_raises(self):
-        c = MetricCloud(
-            points=sample_domain(OMEGA, 4, 0),
-            kind=CONIFOLD_FLAT,
-            graph=symmetric_csr(4, np.array([[0, 1], [2, 3]]), np.ones(2)),
-        )
+        graph = symmetric_csr(4, np.array([[0, 1], [2, 3]]), np.ones(2))
         with pytest.raises(DegenerateMetric):
-            cloud_diameter(c)
+            cloud_diameter(graph)
 
 
 class TestGraph:
@@ -488,7 +495,7 @@ class TestGraph:
         edges = _graph_edges(pts, k)
         np.testing.assert_array_equal(structure.edges, edges)
         for kind in (CONE_METRIC, calabi_family(1e-2)):
-            got = structure.weigh(kind).graph
+            got = structure.weigh(kind)
             want = symmetric_csr(n, edges, _edge_weights(kind, pts, edges))
             for attr in ("indices", "indptr", "data"):
                 assert getattr(got, attr).dtype == getattr(want, attr).dtype
@@ -525,6 +532,24 @@ class TestGraph:
         for kind in (calabi_family(0.5), CONE_METRIC):
             with pytest.raises(DegenerateMetric):
                 _edge_weights(kind, pts, edges)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_weight_raises(self, monkeypatch, bad):
+        # one non-finite metric entry on one edge's midpoint makes that weight non-finite
+        pts = sample_domain(OMEGA, 40, seed=3)
+        edges = _graph_edges(pts, graph_k=4)
+        real = metricgeom.eval_forms
+
+        def poisoned(kind, *coords):
+            m = real(kind, *coords)
+            m[len(m) // 2] = bad
+            return m
+
+        monkeypatch.setattr(metricgeom, "eval_forms", poisoned)
+        with pytest.raises(DegenerateMetric, match="nonfinite edge weight"):
+            _edge_weights(calabi_family(0.5), pts, edges)
+        with pytest.raises(DegenerateMetric, match="nonfinite edge weight"):
+            cloud_structure(OMEGA, 40, 4, 3).weigh(CONE_METRIC)
 
 
 class TestBackbone:
@@ -621,6 +646,12 @@ class TestGH:
         with pytest.raises(ValueError):
             gh_upper_bound(0.0, n=100, seed=1)
 
+    @pytest.mark.parametrize("bound", [-1e-300, -1.0, float("nan")])
+    def test_estimate_rejects_negative_bound(self, bound):
+        with pytest.raises(ValueError, match="bound must be nonnegative"):
+            GHEstimate(t=0.5, bound=bound)
+        assert GHEstimate(t=0.5, bound=0.0).bound == 0.0
+
     def test_cloud_size_validation(self):
         # the builder's checks: n >= 10 and graph_k >= 4
         with pytest.raises(ValueError):
@@ -680,7 +711,8 @@ class TestGH:
             return edges[(edges < 300).sum(axis=1) != 1]
 
         def hung(signum, frame):
-            raise TimeoutError("gh_upper_bounds did not return")
+            # not a TimeoutError: Process.join takes any OSError for "still running"
+            raise AssertionError("gh_upper_bounds did not return")
 
         monkeypatch.setattr(metricgeom, "_max_workers", lambda: 2)
         monkeypatch.setattr(metricgeom, "_graph_edges", split)
@@ -802,6 +834,6 @@ class TestOmegaDeltaShrinking:
     def test_small_neighbourhood_small_diameter(self):
         # explicit (delta, t) with sampled diameter below 0.2
         delta, t = 0.005, 1e-4
-        c = build_cloud(omega_r(delta), calabi_family(t), n=300, graph_k=8, seed=17)
-        diam = cloud_diameter(c) + 2 * radial_stub(t, 2 * math.log(delta) - 20.0)
+        graph = build_cloud(omega_r(delta), calabi_family(t), n=300, graph_k=8, seed=17)
+        diam = cloud_diameter(graph) + 2 * radial_stub(t, 2 * math.log(delta) - 20.0)
         assert diam < 0.2

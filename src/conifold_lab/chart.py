@@ -153,13 +153,32 @@ def fibre_coordinate(p: ResolvedPoint) -> complex:
     return p.xi2 / p.xi1
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def second_chart(p: ResolvedPoint) -> ResolvedPoint:
     """Transition to the chart covering z = inf: (1/z, z*xi1, z*xi2).
 
     Involutive on its domain and preserves e^rho; only used when sampling
     near the far pole of the base.  Lane-wise on a stacked point, which
-    raises if any lane has z = 0.
+    raises if any lane has z = 0.  The stacked path is exact: it spells out
+    CPython's complex product and Smith quotient in real arithmetic, so each
+    lane equals the point's transition in Python complex numbers bit for bit
+    (numpy's complex product fuses into FMA; its quotient takes a reciprocal).
     """
     if np.any(p.z == 0):
         raise ValueError("second chart undefined at z = 0")
-    return ResolvedPoint(z=1.0 / p.z, xi1=p.z * p.xi1, xi2=p.z * p.xi2)
+    if not isinstance(p.z, np.ndarray):
+        return ResolvedPoint(z=1.0 / p.z, xi1=p.z * p.xi1, xi2=p.z * p.xi2)
+    re, im = p.z.real, p.z.imag
+    xi = [_complex(re * x.real - im * x.imag, re * x.imag + im * x.real) for x in (p.xi1, p.xi2)]
+    wide = np.abs(re) >= np.abs(im)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(wide, im / re, re / im)
+    denom = np.where(wide, re + im * ratio, re * ratio + im)
+    # "+ 0.0" and "0.0 -" give a zero ratio CPython's sign (real or imaginary z)
+    z = _complex(np.where(wide, 1.0, ratio + 0.0) / denom, np.where(wide, 0.0 - ratio, -1.0) / denom)
+    return ResolvedPoint(z, *xi)

@@ -278,13 +278,13 @@ def _omega_delta_diameters(cfg: ExperimentConfig, delta: float) -> list[tuple[fl
     """
     eps = cfg.tol("omega_delta_eps")
     t_small = (min(cfg.t_grid), min(cfg.t_grid) / 10.0, min(cfg.t_grid) / 100.0)
-    structure = metricgeom.cloud_structure(omega_r(delta), max(300, cfg.n_samples // 4),
-                                           cfg.graph_k, cfg.seed)
+    domain = omega_r(delta)
+    structure = metricgeom.cloud_structure(domain, max(300, cfg.n_samples // 4), cfg.graph_k, cfg.seed)
     out = []
     for t in t_small:
         graph = structure.weigh(forms.calabi_family(t))
         diam = metricgeom.cloud_diameter(graph) + 2.0 * metricgeom.radial_stub(
-            t, 2.0 * math.log(delta) - metricgeom.RHO_DEPTH)
+            t, domain.rho_max() - metricgeom.RHO_DEPTH)
         out.append((t, diam))
         if diam < eps:
             break

@@ -147,10 +147,9 @@ def ricci_potential_residual(t: float, rho_samples) -> float:
     One ``eval_profiles`` call over the samples; ``NonFinite`` if any sample
     is not finite, 0 for no samples.
     """
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
+    params = ProfileParams(t)
     rho = np.asarray(rho_samples, dtype=float)
     if rho.size == 0:
         return 0.0
-    prof = eval_profiles(ProfileParams(t), rho)
+    prof = eval_profiles(params, rho)
     return float(np.abs(potential_residuals(t, prof)).max())

@@ -93,8 +93,7 @@ import scipy.sparse.csgraph
 import scipy.spatial
 import scipy.special
 
-from .chart import OMEGA, DomainSpec, ResolvedPoint, contract, rho
-from .chart import second_chart  # noqa: F401  (unused; bench/tracing.py wraps it by name)
+from .chart import OMEGA, DomainSpec, ResolvedPoint, _complex, contract, rho, second_chart
 from .errors import DegenerateMetric, OnZeroSection
 from .forms import CONE_METRIC, FormKind, calabi_family, eval_forms
 from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it by name)
@@ -200,12 +199,6 @@ def zero_section_diameter(t: float) -> float:
     return math.sqrt(t) * fs_diameter()
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
 def _halton(n: int, seed: int) -> np.ndarray:
     """n scrambled Halton points in [0, 1)^6 (Owen 2017, arXiv:1706.02808).
 
@@ -245,9 +238,8 @@ def sample_domain(d: DomainSpec, n: int, seed: int, rho_depth: float = RHO_DEPTH
     The points are built in real arithmetic that equals, bit for bit, the
     same construction one point at a time in Python complex numbers: the
     fibre scale takes ``math.exp`` (``np.exp`` differs in the last bit on a
-    few percent of inputs), and the chart transition spells out CPython's
-    complex product and Smith quotient (numpy's complex product fuses into
-    FMA and its quotient multiplies by a reciprocal).
+    few percent of inputs), and the chart transition is ``second_chart``'s
+    stacked path, which is exact.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -275,19 +267,11 @@ def sample_domain(d: DomainSpec, n: int, seed: int, rho_depth: float = RHO_DEPTH
     z_re, z_im = zmod * cos[0], zmod * sin[0]
     xi = [scale * (a * cos[1]), scale * (a * sin[1]), scale * (b * cos[2]), scale * (b * sin[2])]
 
-    # second chart (1/z, z xi1, z xi2) where |z| > 1
+    p = ResolvedPoint(_complex(z_re, z_im), _complex(*xi[:2]), _complex(*xi[2:]))
     far = zmod > 1.0
-    re, im = z_re[far], z_im[far]
-    for k in (0, 2):
-        x_re, x_im = xi[k][far], xi[k + 1][far]
-        xi[k][far], xi[k + 1][far] = re * x_re - im * x_im, re * x_im + im * x_re
-    wide = np.abs(re) >= np.abs(im)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(wide, im / re, re / im)
-    denom = np.where(wide, re + im * ratio, re * ratio + im)
-    z_re[far] = np.where(wide, 1.0, ratio) / denom
-    z_im[far] = np.where(wide, -ratio, -1.0) / denom
-    return ResolvedPoint(_complex(z_re, z_im), _complex(*xi[:2]), _complex(*xi[2:]))
+    q = second_chart(p[far])
+    p.z[far], p.xi1[far], p.xi2[far] = q.z, q.xi1, q.xi2
+    return p
 
 
 def _nearest_outside(comp: np.ndarray, rows: np.ndarray, dd: np.ndarray, idx: np.ndarray):

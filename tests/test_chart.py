@@ -264,13 +264,33 @@ class TestStackedPoints:
             np.testing.assert_allclose(got, want, rtol=1e-15)
         assert rho_alpha(p, 1)[0] == float("-inf") and rho_alpha(p, 2)[3] == float("-inf")
 
+    @staticmethod
+    def python_complex_lane(p, i):
+        """Lane i in Python complex numbers (numpy's scalar quotient is not CPython's)."""
+        return ResolvedPoint(complex(p.z[i]), complex(p.xi1[i]), complex(p.xi2[i]))
+
     def test_second_chart_lanewise(self):
         p = self.stacked()
         q = second_chart(p)
         for i in range(4):
-            want = second_chart(p[i])
+            want = second_chart(self.python_complex_lane(p, i))
             for c in ("z", "xi1", "xi2"):
-                assert getattr(q, c)[i] == pytest.approx(getattr(want, c), rel=1e-15)
+                assert getattr(q, c)[i] == getattr(want, c)
+
+    def test_second_chart_exact_on_a_random_stack(self):
+        n = 12_000
+        rng = np.random.default_rng(7)
+        c = rng.normal(size=(6, n)) * 10.0 ** rng.uniform(-3, 3, (6, n))
+        z = c[0] + 1j * c[1]
+        z[:1000] = z[:1000].real * (1 + 1j)  # |Re z| = |Im z|
+        z[1000:2000] = z[1000:2000].real * (-1 + 1j)
+        z[2000:3000] = 1j * z[2000:3000].imag  # purely imaginary
+        z[3000:4000] = z[3000:4000].real  # real
+        p = ResolvedPoint(z, c[2] + 1j * c[3], c[4] + 1j * c[5])
+        q = second_chart(p)
+        for c in ("z", "xi1", "xi2"):
+            want = np.array([getattr(second_chart(self.python_complex_lane(p, i)), c) for i in range(n)])
+            np.testing.assert_array_equal(getattr(q, c).view(np.uint64), want.view(np.uint64))
 
     def test_second_chart_rejects_any_zero_base(self):
         p = self.stacked()

@@ -43,14 +43,23 @@ class TestFitPowerLaw:
 
 
 class TestStartUp:
-    def test_import_loads_no_scipy_stats_or_integrate(self):
-        # a fresh interpreter, since this one has both loaded already
-        code = ("import sys, conifold_lab.cli; print(sorted(m for m in sys.modules "
-                "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))")
+    """Imports in a fresh interpreter, since this one has loaded everything already."""
+
+    @staticmethod
+    def child_stdout(code: str) -> str:
         env = {**os.environ, "PYTHONPATH": str(Path(conifold_lab.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout
+
+    def test_import_loads_no_scipy_stats_or_integrate(self):
+        out = self.child_stdout("import sys, conifold_lab.cli; print(sorted(m for m in sys.modules "
+                                "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))")
         assert out.strip() == "[]"
+
+    def test_package_import_loads_no_module_and_exposes_version(self):
+        out = self.child_stdout("import sys, conifold_lab; print(conifold_lab.__version__, sorted(m for m "
+                                "in sys.modules if m.startswith('conifold_lab.') or m.split('.')[0] == 'scipy'))")
+        assert out.split() == [__version__, "[]"]
 
 
 class TestConfig:

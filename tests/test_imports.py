@@ -6,9 +6,14 @@ module; its line says so with ``# noqa: F401`` and a reason naming
 ``bench/``.  Such an import must still be reached: some ``bench/*.py`` file
 names it as a ``(module, "name"`` wrap target or as ``module.name``, so an
 import kept for a target that the harness has dropped fails the suite.
+
+The other way round, every package name that ``bench/`` reaches must exist,
+so that deleting a name only the harness uses fails here and not first under
+``bench/run.py --trace 1``.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -90,3 +95,64 @@ def test_reach_check_flags_what_it_should():
         "cli.rho_max\n"  # a longer name
     )
     assert unreached_bench_imports("cli", source, bench) == ["2: eval_profile", "4: rho"]
+
+
+def bench_reaches(source: str) -> set[tuple[str, str]]:
+    """(module path, name) of each package name that one bench file reaches.
+
+    A name is reached as ``module.name``, as a ``(module, "name", ...)`` wrap
+    target or ``_replace(module, "name", ...)`` argument pair, or by
+    ``from conifold_lab.module import name``; ``module`` is bound by
+    ``import conifold_lab`` or ``from conifold_lab import module``.
+    """
+    tree = ast.parse(source)
+    modules, reached = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, a.name) for a in node.names if a.name == "conifold_lab")
+        elif isinstance(node, ast.ImportFrom) and node.module == "conifold_lab":
+            modules.update((a.asname or a.name, f"conifold_lab.{a.name}") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("conifold_lab."):
+            reached.update((node.module, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner, name = node.value.id, node.attr
+        elif isinstance(node, (ast.Tuple, ast.Call)):
+            args = node.elts if isinstance(node, ast.Tuple) else node.args
+            if len(args) < 2 or not isinstance(args[0], ast.Name) or not isinstance(args[1], ast.Constant):
+                continue
+            owner, name = args[0].id, args[1].value
+        else:
+            continue
+        if owner in modules and isinstance(name, str):
+            reached.add((modules[owner], name))
+    return reached
+
+
+def test_names_bench_reaches_exist():
+    reached = set().union(*(bench_reaches(p.read_text(encoding="utf-8"))
+                            for p in sorted((ROOT / "bench").glob("*.py"))))
+    assert reached
+    missing = sorted(f"{module}.{name}" for module, name in reached
+                     if not hasattr(importlib.import_module(module), name))
+    assert missing == []
+
+
+def test_bench_reach_finds_each_form():
+    bench = (
+        "import conifold_lab\n"
+        "from conifold_lab import cli, metricgeom as mg\n"
+        "from conifold_lab.chart import ResolvedPoint\n"
+        "TARGETS = [(mg, 'sample_domain', 'metricgeom.sample_domain'), (other, 'x', 'y')]\n"
+        "tracer._replace(cli, '_pmap', wrap(cli._pmap))\n"
+        "width = cli._max_workers(); here = conifold_lab.__file__; mg.RHO_DEPTH\n"
+        "np.pi\n"
+    )
+    assert bench_reaches(bench) == {
+        ("conifold_lab.chart", "ResolvedPoint"),
+        ("conifold_lab.metricgeom", "sample_domain"),
+        ("conifold_lab.metricgeom", "RHO_DEPTH"),
+        ("conifold_lab.cli", "_pmap"),
+        ("conifold_lab.cli", "_max_workers"),
+        ("conifold_lab", "__file__"),
+    }

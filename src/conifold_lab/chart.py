@@ -9,9 +9,9 @@ radius is
 
 finite exactly off the zero section P0 = {xi = 0}, where rho = -inf
 (the float sentinel, kept exact so zero-section logic never depends on a
-tolerance).  The module also provides the flop coordinate change to the
-mirror chart (w, eta1, eta2), the contraction into C^4 whose image is the
-quadric cone {y1 y4 = y2 y3}, and membership tests for the model domains.
+tolerance).  The module also provides the contraction into C^4 whose image
+is the quadric cone {y1 y4 = y2 y3}, the model domains and the transition to
+the chart covering z = inf.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import IndeterminateFlop, OnZeroSection
-
-#: Sentinel for the fibre coordinate of points with xi1 = 0 (the fibre "L_inf").
-POINT_AT_INFINITY = complex(float("inf"), 0.0)
 
 
 @dataclass(frozen=True)
@@ -46,15 +41,6 @@ class ResolvedPoint:
     def on_zero_section(self):
         """Lane-wise xi = 0: a bool for a point, a bool array for a stack."""
         return (self.xi1 == 0) & (self.xi2 == 0)
-
-
-@dataclass(frozen=True)
-class FlopPoint:
-    """A point of the flopped bundle E' in its trivialization (w, eta1, eta2)."""
-
-    w: complex
-    eta1: complex
-    eta2: complex
 
 
 @dataclass(frozen=True)
@@ -113,20 +99,6 @@ def nu_coords(p: ResolvedPoint) -> tuple[complex, complex]:
     return (p.z * p.xi1, p.xi1)
 
 
-def flop_forward(p: ResolvedPoint) -> FlopPoint:
-    """Coordinate change to the flopped chart: (w, eta) = (xi2/xi1, xi1, z*xi1)."""
-    if p.xi1 == 0:
-        raise IndeterminateFlop("flop undefined where xi1 = 0")
-    return FlopPoint(w=p.xi2 / p.xi1, eta1=p.xi1, eta2=p.z * p.xi1)
-
-
-def flop_backward(q: FlopPoint) -> ResolvedPoint:
-    """Inverse coordinate change: (z, xi) = (eta2/eta1, eta1, w*eta1)."""
-    if q.eta1 == 0:
-        raise IndeterminateFlop("inverse flop undefined where eta1 = 0")
-    return ResolvedPoint(z=q.eta2 / q.eta1, xi1=q.eta1, xi2=q.w * q.eta1)
-
-
 def contract(p: ResolvedPoint) -> ConePoint:
     """Contraction of E to the quadric cone in C^4, (xi1, xi2, z*xi1, z*xi2).
 
@@ -134,23 +106,6 @@ def contract(p: ResolvedPoint) -> ConePoint:
     satisfies y1*y4 = y2*y3.
     """
     return ConePoint((p.xi1, p.xi2, p.z * p.xi1, p.z * p.xi2))
-
-
-def in_domain(p: ResolvedPoint, d: DomainSpec) -> bool:
-    """Membership by the rho threshold; zero-section points belong to every domain."""
-    r = rho(p)
-    if d.kind == "Omega":
-        return r < 0.0
-    return r <= d.rho_max()
-
-
-def fibre_coordinate(p: ResolvedPoint) -> complex:
-    """The w with p in L_w = {xi2 = w*xi1}; inf sentinel when xi1 = 0."""
-    if p.on_zero_section():
-        raise OnZeroSection("every fibre passes through the zero section")
-    if p.xi1 == 0:
-        return POINT_AT_INFINITY
-    return p.xi2 / p.xi1
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -164,15 +119,17 @@ def second_chart(p: ResolvedPoint) -> ResolvedPoint:
 
     Involutive on its domain and preserves e^rho; only used when sampling
     near the far pole of the base.  Lane-wise on a stacked point, which
-    raises if any lane has z = 0.  The stacked path is exact: it spells out
-    CPython's complex product and Smith quotient in real arithmetic, so each
-    lane equals the point's transition in Python complex numbers bit for bit
-    (numpy's complex product fuses into FMA; its quotient takes a reciprocal).
+    raises if any lane has z = 0.  A single point is taken in Python complex
+    numbers, numpy scalars included; the stacked path spells out CPython's
+    complex product and Smith quotient in real arithmetic, so each lane
+    equals its point's transition bit for bit (numpy's complex product fuses
+    into FMA; its quotient takes a reciprocal).
     """
     if np.any(p.z == 0):
         raise ValueError("second chart undefined at z = 0")
     if not isinstance(p.z, np.ndarray):
-        return ResolvedPoint(z=1.0 / p.z, xi1=p.z * p.xi1, xi2=p.z * p.xi2)
+        z, xi1, xi2 = complex(p.z), complex(p.xi1), complex(p.xi2)
+        return ResolvedPoint(z=1.0 / z, xi1=z * xi1, xi2=z * xi2)
     re, im = p.z.real, p.z.imag
     xi = [_complex(re * x.real - im * x.imag, re * x.imag + im * x.real) for x in (p.xi1, p.xi2)]
     wide = np.abs(re) >= np.abs(im)

@@ -5,20 +5,12 @@ class ConifoldLabError(Exception):
     """Base class for all package errors."""
 
 
-class IndeterminateFlop(ConifoldLabError):
-    """Flop coordinate change evaluated where it is undefined (xi1 = 0 / eta1 = 0)."""
-
-
 class OnZeroSection(ConifoldLabError):
     """Operation requires a point off the zero section."""
 
 
 class NonFinite(ConifoldLabError):
     """A finite real argument was required (rho = +-inf rejected)."""
-
-
-class EmptySamples(ConifoldLabError):
-    """A nonempty sample list was required."""
 
 
 class InfiniteFibre(ConifoldLabError):

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySamples, NonFinite, RangeClampedWarning
+from .errors import NonFinite, RangeClampedWarning
 
 #: rho is clamped here before exponentiation to keep e^rho inside float range.
 RHO_CLAMP = (-700.0, 300.0)
@@ -173,43 +173,6 @@ def cone_profile(rho: float) -> ProfileEval:
     if not RHO_CLAMP[0] <= rho <= RHO_CLAMP[1]:
         rho = _clamp_rho(rho)
     return _cone(rho, math.exp(2.0 * rho / 3.0))
-
-
-@dataclass(frozen=True)
-class KahlerReport:
-    """Positivity conditions for the symmetric form to be Kaehler on E."""
-
-    a_positive: bool
-    min_uprime: float
-    min_usecond: float
-
-    @property
-    def uprime_positive(self) -> bool:
-        return self.min_uprime > 0.0
-
-    @property
-    def usecond_positive(self) -> bool:
-        return self.min_usecond > 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.a_positive and self.uprime_positive and self.usecond_positive
-
-
-def kahler_criterion(params: ProfileParams, rho_samples) -> KahlerReport:
-    """Check a > 0, u' > 0, u'' > 0 over the samples (a = t).
-
-    At t = 0 the first condition fails, flagging the degenerate cone limit.
-    """
-    rho = np.asarray(rho_samples, dtype=float)
-    if rho.size == 0:
-        raise EmptySamples("rho_samples must be nonempty")
-    prof = eval_profiles(params, rho)
-    return KahlerReport(
-        a_positive=params.t > 0.0,
-        min_uprime=float(prof.uprime.min()),
-        min_usecond=float(prof.usecond.min()),
-    )
 
 
 def cubic_residual(params: ProfileParams, rho, uprime):

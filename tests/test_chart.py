@@ -1,28 +1,20 @@
-"""Coordinate chart operations: radii, flops, contraction, domains."""
+"""Coordinate chart operations: radii, contraction, domain specs, second chart."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 
 from conifold_lab.chart import (
-    OMEGA,
     DomainSpec,
-    FlopPoint,
     ResolvedPoint,
     contract,
-    fibre_coordinate,
-    flop_backward,
-    flop_forward,
-    in_domain,
     nu_coords,
     omega_r,
     rho,
     rho_alpha,
     second_chart,
 )
-from conifold_lab.errors import IndeterminateFlop, OnZeroSection
 
 RNG = np.random.default_rng(20240817)
 
@@ -101,52 +93,6 @@ class TestNuCoords:
             assert abs(lhs - rhs) <= 1e-12 * max(lhs, rhs)
 
 
-class TestFlop:
-    def test_forward_basic(self):
-        q = flop_forward(ResolvedPoint(0, 1, 0))
-        assert (q.w, q.eta1, q.eta2) == (0, 1, 0)
-
-    def test_backward_basic(self):
-        p = flop_backward(FlopPoint(0, 1, 0))
-        assert (p.z, p.xi1, p.xi2) == (0, 1, 0)
-
-    def test_backward_derived(self):
-        p = flop_backward(FlopPoint(1, 2, 2))
-        assert (p.z, p.xi1, p.xi2) == (1, 2, 2)
-
-    def test_roundtrips(self):
-        for _ in range(50):
-            p = random_point()
-            if abs(p.xi1) < 1e-9 or abs(p.z) < 1e-9:
-                continue
-            back = flop_backward(flop_forward(p))
-            for a, b in [(back.z, p.z), (back.xi1, p.xi1), (back.xi2, p.xi2)]:
-                assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
-        for _ in range(50):
-            q = FlopPoint(*[complex(*RNG.normal(size=2)) for _ in range(3)])
-            if abs(q.eta1) < 1e-9:
-                continue
-            fwd = flop_forward(flop_backward(q))
-            for a, b in [(fwd.w, q.w), (fwd.eta1, q.eta1), (fwd.eta2, q.eta2)]:
-                assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
-
-    def test_exp_rho_invariance(self):
-        for _ in range(100):
-            p = random_point()
-            if abs(p.xi1) < 1e-9:
-                continue
-            q = flop_forward(p)
-            flop_side = (1 + abs(q.w) ** 2) * (abs(q.eta1) ** 2 + abs(q.eta2) ** 2)
-            target = math.exp(rho(p))
-            assert abs(flop_side - target) <= 1e-12 * target
-
-    def test_indeterminate(self):
-        with pytest.raises(IndeterminateFlop):
-            flop_forward(ResolvedPoint(0, 0, 1))
-        with pytest.raises(IndeterminateFlop):
-            flop_backward(FlopPoint(1, 0, 1))
-
-
 class TestContract:
     def test_zero_section_collapses(self):
         for z in (0, 1, 2 - 3j):
@@ -167,54 +113,11 @@ class TestContract:
 
 
 class TestDomains:
-    def test_omega_boundary_excluded(self):
-        assert not in_domain(ResolvedPoint(0, 1, 0), OMEGA)
-
-    def test_omega_interior(self):
-        assert in_domain(ResolvedPoint(0, 0.5, 0), OMEGA)
-
-    def test_omega_r_threshold(self):
-        p = ResolvedPoint(0, 0.05, 0)  # e^rho = 0.0025
-        assert in_domain(p, omega_r(0.1))
-        assert not in_domain(p, omega_r(0.01))
-
-    def test_zero_section_in_every_domain(self):
-        p0 = ResolvedPoint(5, 0, 0)
-        assert in_domain(p0, OMEGA)
-        assert in_domain(p0, omega_r(1e-8))
-
     def test_bad_spec(self):
         with pytest.raises(ValueError, match="OmegaR requires r > 0"):
             omega_r(-1.0)
         with pytest.raises(ValueError, match="unknown domain kind 'omega'"):
             DomainSpec("omega")
-
-
-class TestFibreCoordinate:
-    def test_basic(self):
-        assert fibre_coordinate(ResolvedPoint(3, 2, 4)) == 2
-
-    def test_infinity_sentinel(self):
-        w = fibre_coordinate(ResolvedPoint(0, 0, 1))
-        assert cmath.isinf(w)
-
-    def test_zero_section_error(self):
-        with pytest.raises(OnZeroSection):
-            fibre_coordinate(ResolvedPoint(1, 0, 0))
-
-    def test_defining_equation(self):
-        w = 0.7 - 0.2j
-        for xi1 in (1.0, 2.5 + 1j):
-            p = ResolvedPoint(0.3, xi1, w * xi1)
-            assert abs(p.xi2 - w * p.xi1) == 0
-            assert fibre_coordinate(p) == pytest.approx(w)
-
-    def test_fibres_meet_only_on_zero_section(self):
-        # xi2 = w1 xi1 and xi2 = w2 xi1 with w1 != w2 forces xi = 0
-        w1, w2 = 0.3 + 0.1j, -1.2
-        for xi1 in np.linspace(-2, 2, 7):
-            on_both = abs(w1 * xi1 - w2 * xi1) == 0
-            assert on_both == (xi1 == 0)
 
 
 class TestSecondChart:
@@ -264,16 +167,11 @@ class TestStackedPoints:
             np.testing.assert_allclose(got, want, rtol=1e-15)
         assert rho_alpha(p, 1)[0] == float("-inf") and rho_alpha(p, 2)[3] == float("-inf")
 
-    @staticmethod
-    def python_complex_lane(p, i):
-        """Lane i in Python complex numbers (numpy's scalar quotient is not CPython's)."""
-        return ResolvedPoint(complex(p.z[i]), complex(p.xi1[i]), complex(p.xi2[i]))
-
     def test_second_chart_lanewise(self):
         p = self.stacked()
         q = second_chart(p)
         for i in range(4):
-            want = second_chart(self.python_complex_lane(p, i))
+            want = second_chart(p[i])
             for c in ("z", "xi1", "xi2"):
                 assert getattr(q, c)[i] == getattr(want, c)
 
@@ -289,7 +187,7 @@ class TestStackedPoints:
         p = ResolvedPoint(z, c[2] + 1j * c[3], c[4] + 1j * c[5])
         q = second_chart(p)
         for c in ("z", "xi1", "xi2"):
-            want = np.array([getattr(second_chart(self.python_complex_lane(p, i)), c) for i in range(n)])
+            want = np.array([getattr(second_chart(p[i]), c) for i in range(n)])
             np.testing.assert_array_equal(getattr(q, c).view(np.uint64), want.view(np.uint64))
 
     def test_second_chart_rejects_any_zero_base(self):

@@ -61,6 +61,13 @@ class TestStartUp:
                                 "in sys.modules if m.startswith('conifold_lab.') or m.split('.')[0] == 'scipy'))")
         assert out.split() == [__version__, "[]"]
 
+    def test_numpy_only_modules_load_no_scipy(self):
+        # the line along which metricgeom would split into numpy-only and graph code
+        out = self.child_stdout("import sys, conifold_lab.chart, conifold_lab.profile, conifold_lab.forms, "
+                                "conifold_lab.curvature; print(sorted(m for m in sys.modules "
+                                "if m.split('.')[0] == 'scipy'))")
+        assert out.strip() == "[]"
+
 
 class TestConfig:
     def test_validation(self):

@@ -1,5 +1,6 @@
-"""Unused imports: every name a package module imports is used in it.
+"""Unused imports and unread names in the package.
 
+Unused imports: every name a package or test module imports is used in it.
 A stand-in for a linter's F401 check.  The one exception is an import kept
 only so that the benchmark harness can reach or wrap a name through this
 module; its line says so with ``# noqa: F401`` and a reason naming
@@ -10,6 +11,13 @@ import kept for a target that the harness has dropped fails the suite.
 The other way round, every package name that ``bench/`` reaches must exist,
 so that deleting a name only the harness uses fails here and not first under
 ``bench/run.py --trace 1``.
+
+Unread names: the package ships only what an experiment or the harness
+reaches.  Every top-level def, class or assignment in a package module must
+be read by some package module outside its own definition, or be reached by
+``bench/``.  A name that only its own tests call fails here; it comes back
+with its first caller.  ``UNREAD_KEPT`` lists the exceptions, each with its
+reason.
 """
 
 import ast
@@ -22,6 +30,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "conifold_lab"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(p.name for p in (ROOT / "tests").glob("*.py"))
+
+#: ``forms._matrix`` builds these catalogue kinds by tag, and the tests use
+#: them as fixtures; nothing else reads them.
+UNREAD_KEPT = {"forms.FUBINI_STUDY", "forms.TAU"}
 
 
 def imports(source: str):
@@ -57,6 +70,11 @@ def unreached_bench_imports(module: str, source: str, bench: str) -> list[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("test_module", TESTS)
+def test_no_unused_imports_in_tests(test_module):
+    assert unused_imports((ROOT / "tests" / test_module).read_text(encoding="utf-8")) == []
 
 
 def test_check_flags_what_it_should():
@@ -129,9 +147,13 @@ def bench_reaches(source: str) -> set[tuple[str, str]]:
     return reached
 
 
+def bench_reached() -> set[tuple[str, str]]:
+    return set().union(*(bench_reaches(p.read_text(encoding="utf-8"))
+                         for p in sorted((ROOT / "bench").glob("*.py"))))
+
+
 def test_names_bench_reaches_exist():
-    reached = set().union(*(bench_reaches(p.read_text(encoding="utf-8"))
-                            for p in sorted((ROOT / "bench").glob("*.py"))))
+    reached = bench_reached()
     assert reached
     missing = sorted(f"{module}.{name}" for module, name in reached
                      if not hasattr(importlib.import_module(module), name))
@@ -156,3 +178,78 @@ def test_bench_reach_finds_each_form():
         ("conifold_lab.cli", "_max_workers"),
         ("conifold_lab", "__file__"),
     }
+
+
+def definitions(statement: ast.stmt) -> list[str]:
+    """Names a top-level def, class or assignment binds (imports are F401's)."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def unread_names(sources: dict[str, str], bench: set[tuple[str, str]], kept: set[str]) -> list[str]:
+    """``module.name`` of each top-level name that no module reads and bench/ does not reach.
+
+    ``sources`` maps each module's name (``__init__`` for the package) to its
+    text, and ``bench`` holds (module, name) pairs.  A module reads its own
+    names by their bare name outside their definition, and another module's
+    through ``from .module import name`` or ``from . import module`` and
+    ``module.name``.  Names in ``kept`` are not reported.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        aliases = {a.asname or a.name: (node.module or "__init__", a.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names}
+        for statement in tree.body:
+            own = definitions(statement)
+            defined += [(module, name) for name in own]
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in own:
+                    read.add(aliases.get(node.id, (module, node.id)))
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    owner, name = aliases.get(node.value.id, (None, None))
+                    if owner == "__init__":  # ``from . import module``, then ``module.name``
+                        read.add((name, node.attr))
+    read |= bench
+    return [f"{module}.{name}" for module, name in defined
+            if (module, name) not in read and f"{module}.{name}" not in kept]
+
+
+def test_every_name_is_read_or_reached():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    bench = {(module.partition(".")[2] or "__init__", name) for module, name in bench_reached()}
+    assert unread_names(sources, bench, UNREAD_KEPT) == []
+    assert unread_names(sources, bench, set()) == sorted(UNREAD_KEPT)  # no stale exception
+
+
+def test_unread_check_flags_what_it_should():
+    sources = {
+        "__init__": '__version__ = "1"\n',
+        "a": (
+            "from . import b\n"
+            "from .b import used\n"
+            "KEPT = 1\n"
+            "BENCH_ONLY = 2\n"
+            "helper = 3\n"
+            "def own_only(n):\n"
+            "    return own_only(n - 1) if n else helper\n"  # reads itself only
+            "def main():\n"
+            "    return used() + b.attr_read\n"
+            "if __name__ == '__main__':\n"
+            "    main()\n"
+        ),
+        "b": (
+            "from . import __version__\n"
+            "def used():\n"
+            "    return __version__\n"
+            "attr_read = 1\n"
+            "class Lonely:\n"
+            "    def again(self):\n"
+            "        return Lonely\n"  # reads itself only
+        ),
+    }
+    assert unread_names(sources, {("a", "BENCH_ONLY")}, {"a.KEPT"}) == ["a.own_only", "b.Lonely"]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conifold_lab.errors import EmptySamples, NonFinite, RangeClampedWarning
+from conifold_lab.errors import NonFinite, RangeClampedWarning
 from conifold_lab.profile import (
     RHO_CLAMP,
     ProfileParams,
@@ -17,7 +17,6 @@ from conifold_lab.profile import (
     cubic_residual,
     eval_profile,
     eval_profiles,
-    kahler_criterion,
 )
 
 RNG = np.random.default_rng(77)
@@ -310,40 +309,6 @@ class TestMonotonicity:
             sups.append(sup)
         assert sups[0] > sups[1] > sups[2]
         assert sups[-1] < 1e-5
-
-
-class TestKahlerCriterion:
-    def test_positive_family(self):
-        rep = kahler_criterion(ProfileParams(1.0), list(np.linspace(-10, 0, 21)))
-        assert rep.passed
-
-    def test_cone_limit_flagged(self):
-        rep = kahler_criterion(ProfileParams(0.0), [-1.0, 0.0])
-        assert not rep.a_positive
-        assert rep.uprime_positive and rep.usecond_positive
-        assert not rep.passed
-
-    def test_half(self):
-        rep = kahler_criterion(ProfileParams(0.5), list(np.linspace(-10, 0, 21)))
-        assert rep.passed
-
-    def test_empty(self):
-        with pytest.raises(EmptySamples):
-            kahler_criterion(ProfileParams(0.5), [])
-        with pytest.raises(EmptySamples):
-            kahler_criterion(ProfileParams(0.5), np.array([]))
-
-    def test_minima_match_per_sample(self):
-        rho = np.random.default_rng(80).uniform(-40.0, 3.0, 200)
-        for t in (0.0, 0.2):
-            rep = kahler_criterion(ProfileParams(t), rho)
-            evals = [eval_profile(ProfileParams(t), r) for r in rho.tolist()]
-            assert rep.min_uprime == pytest.approx(min(e.uprime for e in evals), rel=1e-14)
-            assert rep.min_usecond == pytest.approx(min(e.usecond for e in evals), rel=1e-14)
-
-    def test_nonfinite_sample(self):
-        with pytest.raises(NonFinite):
-            kahler_criterion(ProfileParams(0.5), [-1.0, float("nan")])
 
 
 class TestParams:

@@ -44,13 +44,6 @@ class ResolvedPoint:
 
 
 @dataclass(frozen=True)
-class ConePoint:
-    """Image of a point of E under the contraction to C^4."""
-
-    y: tuple[complex, complex, complex, complex]
-
-
-@dataclass(frozen=True)
 class DomainSpec:
     """Either Omega = {rho < 0} or OmegaR = {e^rho <= r^2}."""
 
@@ -99,13 +92,13 @@ def nu_coords(p: ResolvedPoint) -> tuple[complex, complex]:
     return (p.z * p.xi1, p.xi1)
 
 
-def contract(p: ResolvedPoint) -> ConePoint:
-    """Contraction of E to the quadric cone in C^4, (xi1, xi2, z*xi1, z*xi2).
+def contract(p: ResolvedPoint) -> tuple[complex, complex, complex, complex]:
+    """Contraction of E to the quadric cone in C^4, y = (xi1, xi2, z*xi1, z*xi2).
 
     The whole zero section maps to the cone tip y = 0, and the image
-    satisfies y1*y4 = y2*y3.
+    satisfies y1*y4 = y2*y3.  On a stacked point each entry is an array.
     """
-    return ConePoint((p.xi1, p.xi2, p.z * p.xi1, p.z * p.xi2))
+    return (p.xi1, p.xi2, p.z * p.xi1, p.z * p.xi2)
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -228,7 +228,7 @@ def _exp_ricci_audit(cfg: ExperimentConfig):
 
 def _loccom_min_eigs(pts: ResolvedPoint) -> tuple[float, float, float]:
     """Fibre sandwich over a stack of points: min lower and upper eigenvalue, max scaled trace."""
-    restr = forms.restrict_to_fibre(forms.OMEGA_HAT, pts).m2
+    restr = forms.restrict_to_fibre(forms.OMEGA_HAT, pts)
     e_r1 = np.exp(rho_alpha(pts, 1))
     eye = np.eye(2)
     lower = np.linalg.eigvalsh(restr - eye)[:, 0]
@@ -246,22 +246,24 @@ def _estimate_row(**values) -> dict:
 
 
 def _estimates_for_t(t: float, sub: ResolvedPoint) -> dict:
-    """The estimate row of one t, without the small-neighbourhood columns."""
+    """The estimate row of one t, without the small-neighbourhood columns.
+
+    c0 and c1 are the extremes over ``sub`` of the spectrum of omega_t
+    against CONIFOLD_FLAT, (t + u', u', u'') e^{-rho} (``forms``): c0 the
+    smallest eigenvalue, c1 the largest times e^rho.
+    """
     kind = forms.calabi_family(t)
     r = rho(sub)
-    usecond = eval_profiles(ProfileParams(t), r).usecond
+    prof = eval_profiles(ProfileParams(t), r)
     nv = forms.vector_norm_sq(kind, forms.V, sub)
     nw = forms.vector_norm_sq(kind, forms.W, sub)
     trace_h = forms.fibrewise_trace_H(kind, sub)
-    lmin, lmax = forms.compare_forms(
-        forms.eval_form(kind, sub), forms.eval_form(forms.CONIFOLD_FLAT, sub)
-    )
     return _estimate_row(t=t,
-                         norm_V_rel=float((np.abs(nv - usecond) / usecond).max()),
+                         norm_V_rel=float((np.abs(nv - prof.usecond) / prof.usecond).max()),
                          sup_w_scaled=float((np.exp(0.5 * r) * nw).max()),
                          sup_fibre_trace_scaled=float((np.exp(rho_alpha(sub, 1)) * trace_h).max()),
-                         c0=float(lmin.min()),
-                         c1=float((lmax * np.exp(r)).max()))
+                         c0=float((np.minimum(prof.uprime, prof.usecond) * np.exp(-r)).min()),
+                         c1=float(np.maximum(t + prof.uprime, prof.usecond).max()))
 
 
 #: The neighbourhoods Omega_delta of the exceptional curve that the estimates sweep measures.
@@ -337,16 +339,11 @@ def _pointwise_estimates(cfg: ExperimentConfig):
 def _exp_estimates(cfg: ExperimentConfig):
     """The estimate sweep; the Omega_delta clouds run on ``metricgeom._fork_map``.
 
-    The workers build and measure the clouds of every delta while this
-    process computes the pointwise estimates.  Each worker has a fixed share
-    of the deltas, every width-th one (at width 2: 0.05 and 0.01 on one,
-    0.02 and 0.005 on the other); the clouds are of one size and cost about
-    the same, so the shares take about as long.  The results are then read in
-    delta order up to the first (delta, t) whose sampled diameter is below
-    omega_delta_eps, as a serial loop would stop; leaving the ``with`` block
-    kills the work on the smaller deltas still running.  A worker's error
-    surfaces only when its delta is read, so the errors raised are the
-    serial loop's.
+    The clouds of every delta are measured while this process computes the
+    pointwise estimates.  They are read in delta order up to the first
+    (delta, t) whose sampled diameter is below omega_delta_eps, as a serial
+    loop would stop.  A worker's error surfaces only when its delta is read,
+    so the errors raised are the serial loop's.
     """
     eps = cfg.tol("omega_delta_eps")
     found = None

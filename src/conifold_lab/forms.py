@@ -31,6 +31,20 @@ with h = 1 + |z|^2, S = |xi|^2 and u', u'' the radial profile at
 rho = log(h S).  Its determinant is (t + u') u' u'' e^{-2 rho}, identically 1
 on the Ricci-flat family.
 
+In the t-independent coframe
+
+    theta_b = dz / h,   theta_a = (xi2 dxi1 - xi1 dxi2) / S,   theta_r = d rho
+
+(d rho its (1,0) part) both the family and CONIFOLD_FLAT are diagonal:
+
+    omega_t       = (t + u') |theta_b|^2 + u' |theta_a|^2 + u'' |theta_r|^2
+    CONIFOLD_FLAT = e^rho (|theta_b|^2 + |theta_a|^2 + |theta_r|^2)
+
+so omega_t against CONIFOLD_FLAT has exactly the three eigenvalues
+(t + u') e^{-rho}, u' e^{-rho} and u'' e^{-rho}, functions of rho alone.
+The CLI's ``estimates`` takes its tangential constants from them;
+``compare_forms`` is the general pencil route and their test oracle.
+
 Points may be stacked (``ResolvedPoint`` with array coordinates, one lane
 per point): ``eval_form``, ``restrict_to_fibre``, ``fibrewise_trace_H``,
 ``vector_norm_sq`` and ``compare_forms`` then return one value or matrix
@@ -101,18 +115,8 @@ class HermitianForm:
     m: np.ndarray
 
 
-@dataclass(frozen=True)
-class FibreForm:
-    """Restriction of a form to the fibre L_w, in flat coordinates (nu1, nu2)."""
-
-    w: complex
-    base: ResolvedPoint
-    m2: np.ndarray
-
-
 # Vector field tags
 V = "V"
-V1 = "V1"
 W = "W"
 
 
@@ -225,10 +229,10 @@ def eval_forms(kind: FormKind, z, xi1, xi2) -> np.ndarray:
     return _matrix(kind, z, xi1, xi2, profile)
 
 
-def _fibre_jacobian(p: ResolvedPoint) -> tuple[complex, np.ndarray]:
-    """w and the Jacobian d(z, xi1, xi2)/d(nu1, nu2) of the fibre parametrization.
+def _fibre_jacobian(p: ResolvedPoint) -> np.ndarray:
+    """The Jacobian d(z, xi1, xi2)/d(nu1, nu2) of the fibre parametrization.
 
-    The Jacobian has shape (..., 3, 2), one per lane of a stacked p.
+    Shape (..., 3, 2), one per lane of a stacked p.
     """
     if np.any(p.on_zero_section()):
         raise OnZeroSection("fibre restriction undefined on the zero section")
@@ -241,36 +245,33 @@ def _fibre_jacobian(p: ResolvedPoint) -> tuple[complex, np.ndarray]:
     jac[..., 0, 1] = -n1 / n2**2
     jac[..., 1, 1] = 1.0
     jac[..., 2, 1] = w
-    return w, jac
+    return jac
 
 
-def restrict_to_fibre(kind: FormKind, p: ResolvedPoint) -> FibreForm:
+def restrict_to_fibre(kind: FormKind, p: ResolvedPoint) -> np.ndarray:
     """Pull the form back to L_w = {xi2 = w xi1} in the flat coordinates nu.
 
-    TAU restricts to the 2x2 identity exactly, which is what makes the
+    Returns the 2x2 Hermitian matrix, shape (..., 2, 2) on a stack.  TAU
+    restricts to the 2x2 identity exactly, which is what makes the
     fibrewise trace below a plain matrix trace.
     """
-    w, jac = _fibre_jacobian(p)
-    m = eval_form(kind, p).m
-    m2 = np.swapaxes(jac, -1, -2) @ m @ jac.conjugate()
-    return FibreForm(w=w, base=p, m2=m2)
+    jac = _fibre_jacobian(p)
+    return np.swapaxes(jac, -1, -2) @ eval_form(kind, p).m @ jac.conjugate()
 
 
 def fibrewise_trace_H(kind: FormKind, p: ResolvedPoint):
     """Trace of the fibre restriction against the flat fibre form."""
-    m2 = restrict_to_fibre(kind, p).m2
-    return _float_or_lanes(np.trace(m2, axis1=-2, axis2=-1).real)
+    return _float_or_lanes(np.trace(restrict_to_fibre(kind, p), axis1=-2, axis2=-1).real)
 
 
 def _vector_components(v: str, p: ResolvedPoint) -> np.ndarray:
     if np.any(p.on_zero_section()):
         raise OnZeroSection("vector fields vanish identically on the zero section")
-    if v not in (V, V1, W):
+    if v not in (V, W):
         raise ValueError(f"unknown vector field {v!r}")
     vec = np.zeros(np.shape(p.xi1) + (3,), dtype=complex)
     vec[..., 1] = p.xi1
-    if v != V1:
-        vec[..., 2] = p.xi2
+    vec[..., 2] = p.xi2
     if v == W:
         vec *= np.exp(-0.5 * np.asarray(rho(p)))[..., None]
     return vec

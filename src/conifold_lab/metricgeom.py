@@ -52,19 +52,8 @@ each chunk is reduced to its per-t maxima of the discrepancy, so memory
 grows as O(chunk * n) rather than O(n^2).  The parent takes the maximum
 over chunks, which does not depend on how the rows are grouped.
 
-``_fork_map`` is the one fork helper.  It maps a function over a few
-independent items on forked workers, as many as the smallest of 4, the CPUs
-in the process's affinity mask and the item count, so ``taskset -c``
-narrows it.  The workers inherit the function's closure (graphs built in
-the parent are not copied).  Each has a fixed share of the items, every
-width-th one, and sends back only their results, which come out in item
-order.  A fixed share suits the two callers, whose items cost about the
-same: ``gh_upper_bounds`` runs equal chunks of source rows (only the last
-is shorter), and the CLI's ``estimates`` sweep measures four Omega_delta
-clouds of one size and reads them in delta order.  At width 1 the items
-run lazily in the calling process and no process is started.  Leaving its
-``with`` block kills the workers, so a consumer that stops early, as the
-sweep does at its first small diameter, kills the work it no longer needs.
+``_fork_map`` is the one fork helper, shared by ``gh_upper_bounds`` and
+the CLI's ``estimates`` sweep; its docstring states its contract.
 
 Sampling is stratified and quasi-random: uniform in rho down to a fixed
 depth below the domain top, uniform in the base and fibre phases, plus a
@@ -330,7 +319,7 @@ def _emst(tree: scipy.spatial.cKDTree, dd: np.ndarray, idx: np.ndarray) -> np.nd
 
 def _graph_edges(points: ResolvedPoint, graph_k: int) -> np.ndarray:
     """Sorted undirected edges (i < j): symmetrized kNN in the C^4 embedding plus its EMST."""
-    emb = np.stack(contract(points).y, axis=1).view(float)
+    emb = np.stack(contract(points), axis=1).view(float)
     n = len(emb)
     k = min(graph_k + 1, n)
     tree = scipy.spatial.cKDTree(emb, leafsize=_LEAFSIZE)
@@ -498,15 +487,17 @@ def _serve(fn: Callable, items: Sequence,
 def _fork_map(fn: Callable, items: Sequence) -> Iterator[Iterator]:
     """Yield ``fn`` over ``items``, in order, computed on up to ``_max_workers()`` forked processes.
 
-    The width is min(``_max_workers()``, len(items)).  At width 1 it yields
-    a lazy ``map`` in this process and starts no process.  Wider, it forks
-    ``width`` workers, which inherit ``fn`` with its closure and ``items``
-    (the graphs they read are not copied).  The assignment is fixed: worker
-    w computes items w, w + width, ... in order and sends back only their
-    results, on a pipe of its own, so item i's result is the next one on
-    worker i % width's pipe.  Both callers' items cost about the same
-    (equal GH chunks, Omega_delta clouds of one size), so fixed shares keep
-    the workers about as busy as handing out the next free item would.
+    The width is min(``_max_workers()``, len(items)): at most 4 and the CPUs
+    in this process's affinity mask, so ``taskset -c`` narrows it.  At width
+    1 it yields a lazy ``map`` in this process and starts no process.
+    Wider, it forks ``width`` workers, which inherit ``fn`` with its closure
+    and ``items`` (the graphs they read are not copied).  The assignment is
+    fixed: worker w computes items w, w + width, ... in order and sends back
+    only their results, on a pipe of its own, so item i's result is the next
+    one on worker i % width's pipe.  Both callers' items cost about the same
+    (equal GH chunks of source rows, only the last shorter; Omega_delta
+    clouds of one size), so fixed shares keep the workers about as busy as
+    handing out the next free item would.
     Item i's result, or the exception it raised, comes when the consumer
     reaches i.  Leaving the ``with`` block kills and reaps every worker, so
     a consumer that stops early kills the work it no longer needs.  No lock
@@ -567,13 +558,10 @@ def gh_upper_bounds(
 
     The graphs come from one ``cloud_structure`` weighed under the cone and
     then each t, so the sample and edge set are built once.  The chunks go
-    through ``_fork_map``, on min(``_max_workers()``, chunk count) processes
-    forked after the build: they inherit the graphs rather than receive
-    copies, and each chunk returns only its per-t maxima.
-    The maximum over chunks does not depend on their grouping, so the bounds
-    equal those of the serial loop, which runs in this process, starting
-    none, when that width is 1.  A worker's ``DegenerateMetric`` reaches the
-    caller as it would serially.  Raises ``ValueError`` unless every t lies
+    through ``_fork_map`` after the build, and each returns only its per-t
+    maxima.  The maximum over chunks does not depend on their grouping, so
+    the bounds equal those of the serial loop.  A worker's
+    ``DegenerateMetric`` reaches the caller as it would serially.  Raises ``ValueError`` unless every t lies
     in (0, 1], n >= 10 and graph_k >= 4.
     """
     kinds = [CONE_METRIC] + [calabi_family(t) for t in t_grid]

@@ -104,7 +104,7 @@ def test_04_fibre_sandwich():
     start = time.monotonic()
     pts = sample_domain(OMEGA, 100_000, seed=1001)
     eye = np.eye(2)
-    m2 = restrict_to_fibre(OMEGA_HAT, pts).m2
+    m2 = restrict_to_fibre(OMEGA_HAT, pts)
     e_r1 = np.exp(rho_alpha(pts, 1))
     worst_lower = np.linalg.eigvalsh(m2 - eye)[:, 0].min()
     worst_upper = np.linalg.eigvalsh((2.0 / e_r1)[:, None, None] * eye - m2)[:, 0].min()

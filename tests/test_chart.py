@@ -96,18 +96,18 @@ class TestNuCoords:
 class TestContract:
     def test_zero_section_collapses(self):
         for z in (0, 1, 2 - 3j):
-            y = contract(ResolvedPoint(z, 0, 0)).y
+            y = contract(ResolvedPoint(z, 0, 0))
             assert y == (0, 0, 0, 0)
 
     def test_direct(self):
-        y = contract(ResolvedPoint(1j, 1, 2)).y
+        y = contract(ResolvedPoint(1j, 1, 2))
         assert y == (1, 2, 1j, 2j)
         assert y[0] * y[3] - y[1] * y[2] == 0
 
     def test_quadric_identity(self):
         for _ in range(100):
             p = random_point(scale=2.0)
-            y = contract(p).y
+            y = contract(p)
             norm_sq = sum(abs(v) ** 2 for v in y)
             assert abs(y[0] * y[3] - y[1] * y[2]) <= 1e-12 * (1 + norm_sq)
 

@@ -10,10 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conifold_lab
-from conifold_lab import __version__, cli, metricgeom
+from conifold_lab import __version__, cli, forms, metricgeom
+from conifold_lab.chart import OMEGA, rho
 from conifold_lab.cli import ExperimentConfig, fit_power_law, main, run
 from conifold_lab.errors import ConfigError, DegenerateMetric, NonPositiveData
 
@@ -505,6 +507,21 @@ class TestEstimatesSweep:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
+
+
+def test_tangential_constants_equal_pencil_extremes(tmp_path):
+    """c0, c1 in closed form equal the sample extremes of the generalized eigenproblem."""
+    out = tmp_path / "r.json"
+    assert main([*TestEstimatesSweep.ARGV, "--out", str(out)]) == 0
+    rows = [r for r in json.loads(out.read_text())["rows"] if r["delta"] is None]
+    # the oracle: the same sample and sub-sample as the estimates, through compare_forms
+    sub = metricgeom.sample_domain(OMEGA, 400, 3)[:200]
+    flat = forms.eval_form(forms.CONIFOLD_FLAT, sub)
+    assert [r["t"] for r in rows] == [1.0, 0.1, 0.01]
+    for row in rows:
+        lmin, lmax = forms.compare_forms(forms.eval_form(forms.calabi_family(row["t"]), sub), flat)
+        assert row["c0"] == pytest.approx(lmin.min(), rel=1e-14, abs=0)
+        assert row["c1"] == pytest.approx((lmax * np.exp(rho(sub))).max(), rel=1e-14, abs=0)
 
 
 class TestRicciAuditSmall:

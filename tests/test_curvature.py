@@ -230,7 +230,7 @@ class TestFibreFlatness:
         for s in np.linspace(0.05, 0.9, 8):
             xi1 = s * 0.5
             p = ResolvedPoint(0.3 * s, xi1, w * xi1)
-            m2 = restrict_to_fibre(TAU, p).m2
+            m2 = restrict_to_fibre(TAU, p)
             assert np.abs(m2 - np.eye(2)).max() <= 1e-12
 
 

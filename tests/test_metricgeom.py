@@ -112,7 +112,7 @@ def sample_domain_per_point(d, n, seed, rho_depth=20.0):
 
 def embedding(points):
     """The points' contraction images in C^4 as rows of 8 reals, one point at a time."""
-    return np.array([[x for y in contract(p).y for x in (y.real, y.imag)]
+    return np.array([[x for y in contract(p) for x in (y.real, y.imag)]
                      for p in lanes(points)])
 
 
@@ -342,7 +342,7 @@ class TestCloud:
         edges = _graph_edges(stack(pts), graph_k=4)
         weights = _edge_weights(CONIFOLD_FLAT, stack(pts), edges)
         dist = _all_pairs(symmetric_csr(len(pts), edges, weights))
-        radii = [math.sqrt(sum(abs(v) ** 2 for v in contract(p).y)) for p in pts]
+        radii = [math.sqrt(sum(abs(v) ** 2 for v in contract(p))) for p in pts]
         for i in range(len(pts)):
             for j in range(len(pts)):
                 gap = abs(radii[i] - radii[j])

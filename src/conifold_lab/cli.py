@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .metricgeom import _max_workers  # noqa: F401  (unused; bench/worker.py cal
 from .profile import ProfileParams, cubic_residual, eval_profiles
 from .profile import eval_profile  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 
+#: The bound of each named check; a run cannot change them.
 DEFAULT_TOLERANCES = {
     "cubic_residual": 1e-9,
     "ricci_potential_residual": 1e-9,
@@ -53,7 +54,6 @@ class ExperimentConfig:
     n_samples: int = 2000
     graph_k: int = 12
     seed: int = 42
-    tolerances: dict[str, float] = field(default_factory=dict)
     output_path: str = "report.json"
     format: str = "json"
 
@@ -76,14 +76,6 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
-        for k, v in self.tolerances.items():
-            if k not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {k!r}")
-            if not math.isfinite(v):
-                raise ConfigError(f"tolerance {k} must be finite, got {v!r}")
-
-    def tol(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
 
 def _pmap(fn, items):
@@ -144,8 +136,9 @@ def _exp_profile_table(cfg: ExperimentConfig):
             for r, up, us, c, pr in columns
         ]
     asserts = [
-        _at_most("cubic_residual_max", max_cubic, cfg.tol("cubic_residual")),
-        _at_most("ricci_potential_residual_max", max_pot, cfg.tol("ricci_potential_residual")),
+        _at_most("cubic_residual_max", max_cubic, DEFAULT_TOLERANCES["cubic_residual"]),
+        _at_most("ricci_potential_residual_max", max_pot,
+                 DEFAULT_TOLERANCES["ricci_potential_residual"]),
     ]
     return rows, asserts
 
@@ -162,7 +155,7 @@ def _exp_diam_scaling(cfg: ExperimentConfig):
         [(t, metricgeom.zero_section_diameter(t)) for t in grid]
     )
     t13 = [r["diam_t13"] for r in rows]
-    tol = cfg.tol("diam_exponent_dev")
+    tol = DEFAULT_TOLERANCES["diam_exponent_dev"]
     asserts = [
         _check("diam_exponent", slope, tol, abs(slope - 0.5) <= tol),
         _report_only("diam_amplitude", amp),
@@ -181,7 +174,7 @@ def _exp_gh_converge(cfg: ExperimentConfig):
     )
 
     rows, asserts = [], []
-    ratio = cfg.tol("gh_ratio")
+    ratio = DEFAULT_TOLERANCES["gh_ratio"]
     for s, ests in zip(seeds, per_seed):
         rows += [{"seed": s, "t": e.t, "bound": e.bound} for e in ests]
         bounds = [e.bound for e in ests]
@@ -189,13 +182,15 @@ def _exp_gh_converge(cfg: ExperimentConfig):
         for prev, nxt in zip(bounds, bounds[1:]):
             if prev > 0:
                 worst = max(worst, nxt / prev - 1.0)
-        asserts.append(_at_most(f"gh_monotone_seed{s}", worst, cfg.tol("gh_monotone_slack")))
+        asserts.append(_at_most(f"gh_monotone_seed{s}", worst,
+                                DEFAULT_TOLERANCES["gh_monotone_slack"]))
         obs_ratio = bounds[-1] / bounds[0] if bounds[0] > 0 else math.inf
         asserts.append(_check(f"gh_ratio_seed{s}", obs_ratio, ratio, obs_ratio < ratio))
     for j, t in enumerate(cfg.t_grid):
         vals = [ests[j].bound for ests in per_seed]
         spread = (max(vals) - min(vals)) / max(vals) if max(vals) > 0 else 0.0
-        asserts.append(_at_most(f"gh_seed_spread_t{t:g}", spread, cfg.tol("gh_seed_spread")))
+        asserts.append(_at_most(f"gh_seed_spread_t{t:g}", spread,
+                                DEFAULT_TOLERANCES["gh_seed_spread"]))
     return rows, asserts
 
 
@@ -215,14 +210,14 @@ def _exp_ricci_audit(cfg: ExperimentConfig):
         ]
         rows.append({"t": t, "potential_residual": pot, "ricci_matrix_max": max(mats)})
         asserts.append(_at_most(f"ricci_potential_t{t:g}", pot,
-                                cfg.tol("ricci_potential_residual")))
+                                DEFAULT_TOLERANCES["ricci_potential_residual"]))
         asserts.append(_at_most(f"ricci_matrix_t{t:g}", max(mats),
-                                cfg.tol("ricci_matrix_max_entry")))
+                                DEFAULT_TOLERANCES["ricci_matrix_max_entry"]))
     control_pt = ResolvedPoint(0.0, 0.5, 0.0)
     control = float(np.abs(curvature.ricci_form(forms.OMEGA_HAT, control_pt, stencil).m).max())
     asserts.append(_check("ricci_control_omega_hat", control,
-                          cfg.tol("ricci_control_min_entry"),
-                          control > cfg.tol("ricci_control_min_entry")))
+                          DEFAULT_TOLERANCES["ricci_control_min_entry"],
+                          control > DEFAULT_TOLERANCES["ricci_control_min_entry"]))
     return rows, asserts
 
 
@@ -278,7 +273,7 @@ def _omega_delta_diameters(cfg: ExperimentConfig, delta: float) -> list[tuple[fl
     never weighed.  Each diameter adds the closed-form radial stub below the
     sampling floor twice.
     """
-    eps = cfg.tol("omega_delta_eps")
+    eps = DEFAULT_TOLERANCES["omega_delta_eps"]
     t_small = (min(cfg.t_grid), min(cfg.t_grid) / 10.0, min(cfg.t_grid) / 100.0)
     domain = omega_r(delta)
     structure = metricgeom.cloud_structure(domain, max(300, cfg.n_samples // 4), cfg.graph_k, cfg.seed)
@@ -300,13 +295,13 @@ def _pointwise_estimates(cfg: ExperimentConfig):
 
     # fibre comparison sandwich + fibrewise trace of the reference form
     lo_min, up_min, tr_max = _loccom_min_eigs(pts)
-    tol = cfg.tol("sandwich_min_eigenvalue")
+    tol = DEFAULT_TOLERANCES["sandwich_min_eigenvalue"]
     asserts.append(_check("fibre_sandwich_lower", lo_min, tol, lo_min >= tol))
     asserts.append(_check("fibre_sandwich_upper", up_min, tol, up_min >= tol))
-    asserts.append(_at_most("fibre_trace_hat", tr_max, cfg.tol("trace_bound_hat")))
+    asserts.append(_at_most("fibre_trace_hat", tr_max, DEFAULT_TOLERANCES["trace_bound_hat"]))
 
     # norm identities, vertical collapse and tangential comparison, per t
-    rel_tol = cfg.tol("norm_identity_rel")
+    rel_tol = DEFAULT_TOLERANCES["norm_identity_rel"]
     sub = pts[: max(200, cfg.n_samples // 10)]
     e_rho = np.exp(rho(sub))
     nv = forms.vector_norm_sq(forms.OMEGA_HAT, forms.V, sub)
@@ -324,15 +319,16 @@ def _pointwise_estimates(cfg: ExperimentConfig):
     for c in ("c0", "c1"):
         spread = max(r[c] for r in per_t) / min(r[c] for r in per_t)
         asserts.append(_at_most(f"tangential_{c}_stability", spread,
-                                cfg.tol("sandwich_stability_factor")))
+                                DEFAULT_TOLERANCES["sandwich_stability_factor"]))
 
     # radial path lengths: closed form at t = 0 and uniform boundedness
     closed = (1.5) ** (2.0 / 3.0)
     r0 = metricgeom.radial_length_from_rho(0.0, 0.0)
     asserts.append(_at_most("radial_closed_form", abs(r0 - closed),
-                            cfg.tol("radial_closed_form_abs")))
+                            DEFAULT_TOLERANCES["radial_closed_form_abs"]))
     worst = max(metricgeom.radial_length_from_rho(0.0, t) for t in cfg.t_grid)
-    asserts.append(_at_most("radial_uniform_bound", worst, r0 + cfg.tol("radial_uniform_slack")))
+    asserts.append(_at_most("radial_uniform_bound", worst,
+                            r0 + DEFAULT_TOLERANCES["radial_uniform_slack"]))
     return rows, asserts
 
 
@@ -345,7 +341,7 @@ def _exp_estimates(cfg: ExperimentConfig):
     loop would stop.  A worker's error surfaces only when its delta is read,
     so the errors raised are the serial loop's.
     """
-    eps = cfg.tol("omega_delta_eps")
+    eps = DEFAULT_TOLERANCES["omega_delta_eps"]
     found = None
     best_diam = math.inf
     with metricgeom._fork_map(lambda delta: _omega_delta_diameters(cfg, delta),
@@ -402,10 +398,6 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    return {**asdict(cfg), "tolerances": dict(sorted(cfg.tolerances.items()))}
-
-
 def _io_error(exc: Exception) -> int:
     print(f"io error: {exc}", file=sys.stderr)
     return 2
@@ -424,7 +416,7 @@ def run(config: ExperimentConfig) -> int:
         rows, asserts = _RUNNERS[config.experiment](config)
         report = {
             "experiment": config.experiment,
-            "config": _config_dict(config),
+            "config": asdict(config),
             "rows": rows,
             "asserts": asserts,
             "version": __version__,
@@ -457,70 +449,11 @@ def _parse_t_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad t_grid {text!r}") from exc
 
 
-def _read_config_file(path: str) -> dict:
-    values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"bad config line {line!r}")
-                key, _, val = line.partition("=")
-                key = key.strip()
-                if key in values:
-                    raise ConfigError(f"repeated config key {key!r}")
-                values[key] = val.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-#: config-file key, also the dest of its flag -> (ExperimentConfig field, cast of the text)
-_CONFIG_KEYS = {
-    "t_grid": ("t_grid", _parse_t_grid),
-    "n": ("n_samples", int),
-    "k": ("graph_k", int),
-    "seed": ("seed", int),
-    "out": ("output_path", str),
-    "format": ("format", str),
-}
-
-
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    file_vals = _read_config_file(args.config) if args.config is not None else {}
-    for key in file_vals:
-        if key != "experiment" and key not in _CONFIG_KEYS and not key.startswith("tol_"):
-            raise ConfigError(f"unknown config key {key!r}")
-
-    # every tolerance as (name=value, its text in an error): file tol_ keys, then --tol flags
-    items = [(f"{k[4:]}={v}", f"{k}={v!r}") for k, v in file_vals.items() if k.startswith("tol_")]
-    items += [(item, repr(item)) for item in args.tol or []]
-    tolerances: dict[str, float] = {}
-    for text, shown in items:
-        name, eq, val = text.partition("=")
-        if not eq:  # only a flag can lack the "="
-            raise ConfigError(f"--tol expects name=value, got {text!r}")
-        try:
-            tolerances[name] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance {shown}") from exc
-
-    experiment = args.experiment or file_vals.get("experiment")
-    if not experiment:
-        raise ConfigError("no experiment given")
-    flags = vars(args)
-    values = {}
-    for key, (name, cast) in _CONFIG_KEYS.items():
-        if flags[key] is not None:
-            values[name] = cast(flags[key])
-        elif key in file_vals:
-            try:
-                values[name] = cast(file_vals[key])
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"bad config value for {key}: {file_vals[key]!r}") from exc
-    return ExperimentConfig(experiment=experiment, tolerances=tolerances, **values)
+    t_grid = None if args.t_grid is None else _parse_t_grid(args.t_grid)
+    given = {"t_grid": t_grid, "n_samples": args.n, "graph_k": args.k, "seed": args.seed,
+             "output_path": args.out, "format": args.format}
+    return ExperimentConfig(args.experiment, **{k: v for k, v in given.items() if v is not None})
 
 
 def main(argv=None) -> int:
@@ -528,16 +461,13 @@ def main(argv=None) -> int:
         prog="conifold-lab",
         description="Verification experiments for the resolved-conifold metric family.",
     )
-    parser.add_argument("experiment", nargs="?", choices=EXPERIMENTS)
-    parser.add_argument("--config", help="flat key=value config file")
+    parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--t-grid", dest="t_grid", help="comma-separated decreasing t values")
     parser.add_argument("--n", type=int, help="sample count")
     parser.add_argument("--k", type=int, help="neighbour count for cloud graphs")
     parser.add_argument("--seed", type=int, help="base RNG seed")
     parser.add_argument("--out", help="report output path")
     parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                        help="override a named tolerance (repeatable)")
     args = parser.parse_args(argv)
     try:
         config = _build_config(args)

@@ -14,9 +14,16 @@ field values into those derivatives, so a field takes array coordinates of
 shape (K,), one lane per stencil point, and is evaluated once per Hessian.
 The Ricci form of a metric kind is -hessian(log det M) computed this way,
 with log det from one ``eval_forms`` call and one stacked Cholesky
-factorization so loss of positivity is detected, while the scalar
-radial-potential residual provides the independent exact route to the same
-Ricci-flatness statement: the two agreeing is the point of this module.
+factorization so loss of positivity is detected.
+
+The two routes to Ricci-flatness check different things.  The Ricci-matrix
+route checks the matrix that ``forms._family_matrix`` builds from (u', u''):
+its determinant is 1 in these coordinates, so -hessian(log det) vanishes
+only if the entries are assembled right.  The radial-potential residual
+log((t + u') u' u'') - 2 rho is not independent of the profile: u'' is
+computed from that same identity, so the residual (2-3 ulps) checks only
+the rounding of the u'' formula.  u'' itself is checked against a centred
+difference of u' in rho, in the profile tests.
 """
 
 from __future__ import annotations

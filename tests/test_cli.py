@@ -1,5 +1,6 @@
 """CLI runner: fits, reports, determinism, exit codes."""
 
+import ast
 import csv
 import json
 import math
@@ -86,8 +87,6 @@ class TestConfig:
             ExperimentConfig(experiment="estimates", n_samples=3)
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="estimates", format="xml")
-        with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="estimates", tolerances={"no_such": 1.0})
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             ExperimentConfig(experiment="estimates", seed=-1)
         # one t would compare each bound with itself
@@ -95,6 +94,20 @@ class TestConfig:
             ExperimentConfig(experiment="gh-converge", t_grid=(0.5,))
         ExperimentConfig(experiment="gh-converge", t_grid=(1.0, 0.5), seed=0)
         ExperimentConfig(experiment="diam-scaling", t_grid=(0.5,))  # its fit extends the grid
+
+
+def tolerance_reads(source: str) -> set[str]:
+    """The keys that ``source`` reads as ``DEFAULT_TOLERANCES["key"]``."""
+    return {node.slice.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "DEFAULT_TOLERANCES" and isinstance(node.slice, ast.Constant)}
+
+
+def test_every_tolerance_is_read():
+    # a key that no check reads bounds nothing; the unread-name guard sees names, not keys
+    assert tolerance_reads(Path(cli.__file__).read_text()) == set(cli.DEFAULT_TOLERANCES)
+    source = 'T = DEFAULT_TOLERANCES["a"] + OTHER["b"] + DEFAULT_TOLERANCES[k]'
+    assert tolerance_reads(source) == {"a"}
 
 
 class TestProfileTable:
@@ -204,22 +217,19 @@ class TestDiamScaling:
 
 
 class TestExitCodes:
-    def test_zero_tolerance_fails_cleanly(self, tmp_path):
+    def test_zero_tolerance_fails_cleanly(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli.DEFAULT_TOLERANCES, "cubic_residual", 0.0)
         out = tmp_path / "t.json"
         cfg = ExperimentConfig(
             experiment="profile-table",
             t_grid=(1.0, 0.5),
             n_samples=12,
-            tolerances={"cubic_residual": 0.0},
             output_path=str(out),
         )
         assert run(cfg) == 1
 
     def test_config_error_is_2(self, capsys):
         assert main(["estimates", "--t-grid", "0.1,1.0"]) == 2
-        assert main(["profile-table", "--format", "json", "--tol", "bogus"]) == 2
-        # no experiment ever read this tolerance, so it is not a name
-        assert main(["profile-table", "--tol", "area_linearity_rel=1e-8"]) == 2
 
     @pytest.mark.parametrize("argv", [
         ["ricci-audit", "--seed", "-1"],
@@ -229,21 +239,6 @@ class TestExitCodes:
     def test_bad_config_runs_nothing(self, tmp_path, capsys, argv):
         out = tmp_path / "r.json"
         assert main([*argv, "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("source", ["flag", "file"])
-    def test_nonfinite_tolerance_is_config_error(self, tmp_path, capsys, source, value):
-        out = tmp_path / "r.json"
-        args = ["profile-table", "--n", "10", "--out", str(out)]
-        if source == "flag":
-            args += ["--tol", f"cubic_residual={value}"]
-        else:
-            conf = tmp_path / "lab.conf"
-            conf.write_text(f"tol_cubic_residual = {value}\n")
-            args += ["--config", str(conf)]
-        assert main(args) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
@@ -278,61 +273,11 @@ class TestExitCodes:
         assert "io error" in capsys.readouterr().err
 
 
-class TestMainAndConfigFile:
-    def test_cli_overrides_file(self, tmp_path, capsys):
-        conf = tmp_path / "lab.conf"
-        conf.write_text(
-            "experiment = profile-table\n"
-            "t_grid = 1,0.5\n"
-            "n = 12\n"
-            "seed = 5\n"
-            f"out = {tmp_path/'file_out.csv'}\n"
-            "format = csv\n"
-            "# comment line\n"
-            "tol_cubic_residual = 1e-9\n"
-        )
-        cli_out = tmp_path / "cli_out.csv"
-        code = main(["--config", str(conf), "--out", str(cli_out)])
-        assert code == 0
-        assert cli_out.exists()
-        assert not (tmp_path / "file_out.csv").exists()
-
-    def test_experiment_from_file(self, tmp_path):
-        conf = tmp_path / "lab.conf"
-        conf.write_text(f"experiment = profile-table\nn = 12\nout = {tmp_path/'r.json'}\n")
-        assert main(["--config", str(conf)]) == 0
-
-    @pytest.mark.parametrize("line", [
-        "sede = 7",  # a misspelt key
-        "tolcubic_residual = 5",  # a tolerance without its tol_ prefix
-        "n_samples = 12",  # the field name, not the key
-        "t-grid = 1,0.5",  # the flag spelling
-    ])
-    def test_unknown_key_is_config_error(self, tmp_path, capsys, line):
-        out = tmp_path / "r.json"
-        conf = tmp_path / "lab.conf"
-        conf.write_text(f"experiment = profile-table\nn = 12\n{line}\nout = {out}\n")
-        assert main(["--config", str(conf)]) == 2
-        key = line.partition("=")[0].strip()
-        assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("lines, key", [
-        (["seed = 7", "seed = 9"], "seed"),
-        (["n = 12", "n = 12"], "n"),  # even with one value
-        (["tol_cubic_residual = 1e-7", "tol_cubic_residual=1e-8"], "tol_cubic_residual"),
-        (["experiment = profile-table", "experiment = diam-scaling"], "experiment"),
-    ], ids=["seed", "n-same-value", "tol", "experiment"])
-    def test_repeated_key_is_config_error(self, tmp_path, capsys, lines, key):
-        out = tmp_path / "r.json"
-        conf = tmp_path / "lab.conf"
-        conf.write_text("\n".join([lines[0], "# a comment between", *lines[1:], f"out = {out}"]))
-        assert main(["profile-table", "--config", str(conf)]) == 2
-        assert f"config error: repeated config key {key!r}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_missing_experiment(self):
-        assert main([]) == 2
+class TestMain:
+    def test_missing_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
 
     def test_gh_converge_at_width_one(self, tmp_path, monkeypatch):
         out = tmp_path / "r.json"
@@ -350,71 +295,55 @@ class TestMainAndConfigFile:
         assert out.read_bytes() == pooled
 
 
-class TestFlagsMatchFile:
-    """Every config-file key gives the report that its flag gives."""
+class TestFlags:
+    """Each flag gives the report of the ExperimentConfig field that it sets."""
 
-    # (config-file line, the same setting as flags, the ExperimentConfig fields it sets)
+    # (the flags, the ExperimentConfig fields they set)
     CASES = [
-        ("t_grid = 1,0.5,0.25", ["--t-grid", "1,0.5,0.25"], {"t_grid": (1.0, 0.5, 0.25)}),
-        ("n = 12", ["--n", "12"], {"n_samples": 12}),
-        ("k = 5", ["--k", "5"], {"graph_k": 5}),
-        ("seed = 7", ["--seed", "7"], {"seed": 7}),
-        ("out = {out}", ["--out", "{out}"], {}),
-        ("format = csv", ["--format", "csv"], {"format": "csv"}),
-        ("tol_cubic_residual = 1e-7", ["--tol", "cubic_residual=1e-7"],
-         {"tolerances": {"cubic_residual": 1e-7}}),
+        (["--t-grid", "1,0.5,0.25"], {"t_grid": (1.0, 0.5, 0.25)}),
+        (["--n", "12"], {"n_samples": 12}),
+        (["--k", "5"], {"graph_k": 5}),
+        (["--seed", "7"], {"seed": 7}),
+        (["--out", "other.out"], {"output_path": "other.out"}),
+        (["--format", "csv"], {"format": "csv"}),
     ]
 
-    @pytest.mark.parametrize("line, flags, fields", CASES, ids=[c[0].split()[0] for c in CASES])
-    def test_same_report_bytes(self, tmp_path, capsys, line, flags, fields):
-        out = tmp_path / "r.out"
-        conf = tmp_path / "lab.conf"
-        conf.write_text(line.format(out=out) + "\n")
-        out_flag = [] if line.startswith("out") else ["--out", str(out)]
+    @pytest.mark.parametrize("flags, fields", CASES,
+                             ids=["t_grid", "n", "k", "seed", "out", "format"])
+    def test_same_report_bytes(self, tmp_path, monkeypatch, capsys, flags, fields):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / fields.get("output_path", "report.json")
         results = []
-        for argv in ([f.format(out=out) for f in flags], ["--config", str(conf)]):
-            assert main(["profile-table", *argv, *out_flag]) == 0
+        for go in (lambda: main(["profile-table", *flags]),
+                   lambda: run(ExperimentConfig("profile-table", **fields))):
+            assert go() == 0
             results.append((out.read_bytes(), capsys.readouterr().out))
-        # the direct config pins which field the key sets
-        assert run(ExperimentConfig("profile-table", output_path=str(out), **fields)) == 0
-        results.append((out.read_bytes(), capsys.readouterr().out))
-        assert results[0] == results[1] == results[2]
+            out.unlink()
+        assert results[0] == results[1]
 
-    @pytest.mark.parametrize("line, flags", [
-        ("t_grid = 0.5,1", ["--t-grid", "0.5,1"]),
-        ("t_grid = 1,x", ["--t-grid", "1,x"]),
-        ("n = 5", ["--n", "5"]),
-        ("k = 3", ["--k", "3"]),
-        ("tol_cubic_residual = abc", ["--tol", "cubic_residual=abc"]),
-        ("tol_no_such_name = 1", ["--tol", "no_such_name=1"]),
+    @pytest.mark.parametrize("flags", [
+        ["--t-grid", "0.5,1"],
+        ["--t-grid", "1,x"],
+        ["--n", "5"],
+        ["--k", "3"],
         # an empty flag is a value, not an absent flag: the default grid must not run
-        ("t_grid =", ["--t-grid", ""]),
-    ])
-    def test_bad_value_from_either_source(self, tmp_path, capsys, line, flags):
+        ["--t-grid", ""],
+    ], ids=" ".join)
+    def test_bad_value_is_config_error(self, tmp_path, capsys, flags):
         out = tmp_path / "r.json"
-        conf = tmp_path / "lab.conf"
-        conf.write_text(line + "\n")
-        for argv in (flags, ["--config", str(conf)]):
-            assert main(["profile-table", *argv, "--out", str(out)]) == 2
-            assert "config error" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_empty_config_path(self, tmp_path, capsys):
-        # an empty path is a file that cannot be read, not an absent flag
-        out = tmp_path / "r.json"
-        assert main(["profile-table", "--config", "", "--out", str(out)]) == 2
-        assert "config error: cannot read config file" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("line", ["n = five", "k = five", "seed = five", "format = xml",
-                                      "seed 7"])
-    def test_bad_file_text(self, tmp_path, capsys, line):
-        # as flags, argparse's own type and choices checks reject the values;
-        # a line without "=" has no flag form
-        conf = tmp_path / "lab.conf"
-        conf.write_text(line + "\n")
-        assert main(["profile-table", "--config", str(conf), "--out", str(tmp_path / "r")]) == 2
+        assert main(["profile-table", *flags, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--n", "five"], ["--k", "five"], ["--seed", "five"],
+                                       ["--format", "xml"]], ids=" ".join)
+    def test_bad_text_is_usage_error(self, tmp_path, capsys, flags):
+        # argparse's own type and choices checks reject these before a config is built
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["profile-table", *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestEstimatesGreen:

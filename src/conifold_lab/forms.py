@@ -42,8 +42,12 @@ In the t-independent coframe
 
 so omega_t against CONIFOLD_FLAT has exactly the three eigenvalues
 (t + u') e^{-rho}, u' e^{-rho} and u'' e^{-rho}, functions of rho alone.
-The CLI's ``estimates`` takes its tangential constants from them;
-``compare_forms`` is the general pencil route and their test oracle.
+FUBINI_STUDY is |theta_b|^2 and OMEGA_HAT the sum of it and CONIFOLD_FLAT;
+only TAU is not diagonal in this coframe.  The coframe drives the graph
+weights (``metricgeom`` weighs every edge from it, with no matrix) and the
+CLI's tangential constants c0 and c1.  The matrices here stay the oracle:
+the tests hold the per-edge coframe weights to ``eval_form`` (and so to
+``_family_matrix``) and the tangential constants to ``compare_forms``.
 
 Points may be stacked (``ResolvedPoint`` with array coordinates, one lane
 per point): ``eval_form``, ``restrict_to_fibre``, ``fibrewise_trace_H``,

@@ -5,12 +5,13 @@ k-nearest-neighbour graph whose edge weights are Riemannian lengths of
 straight coordinate segments under the midpoint metric.  That rule errs both
 ways (against Gauss-Legendre segment lengths at n = 2000: -11.3% to +2.2%
 for the cone, -5.0% to +12.5% at t = 1), so graph distances may over- or
-underestimate.  A graph's edges are weighted by one batched ``eval_forms``
-call per metric kind; an edge whose midpoint lies on the zero section, where
-the family metrics degenerate, raises ``DegenerateMetric``.  Neighbour
-proximity is measured in the contraction embedding into C^4, which adapts
-the graph to the collapsing geometry near the zero section.  A Euclidean
-minimum spanning tree over the same embedding is always added to the edge
+underestimate.  The weights come from the t-independent coframe of
+``forms``, in which every kind but TAU is diagonal: each ``cloud_structure``
+computes its edges' ``EdgeFrame`` once, and a kind then costs one profile
+solve and no 3x3 matrix (``_edge_weights``).  Neighbour proximity is
+measured in the contraction embedding into C^4, which adapts the graph to
+the collapsing geometry near the zero section.  A Euclidean minimum
+spanning tree over the same embedding is always added to the edge
 set: it guarantees a connected graph and, being independent of k, preserves
 the monotonicity of distances under increasing k.  The tree is exact and
 built without a dense distance matrix, by Boruvka rounds over the kNN lists
@@ -84,9 +85,9 @@ import scipy.special
 
 from .chart import OMEGA, DomainSpec, ResolvedPoint, _complex, contract, rho, second_chart
 from .errors import DegenerateMetric, OnZeroSection
-from .forms import CONE_METRIC, FormKind, calabi_family, eval_forms
+from .forms import CONE_METRIC, RHO_DEEP_LIMIT, _PROFILE_KINDS, FormKind, calabi_family
 from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it by name)
-from .profile import ProfileParams, eval_profile
+from .profile import ProfileParams, eval_profile, eval_profiles
 from .profile import cone_profile  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 
 #: Sampled clouds reach this far below the domain's rho supremum.
@@ -332,15 +333,74 @@ def _graph_edges(points: ResolvedPoint, graph_k: int) -> np.ndarray:
     return np.stack(divmod(keys, n), axis=1)
 
 
-def _edge_weights(kind: FormKind, points: ResolvedPoint, edges: np.ndarray) -> np.ndarray:
-    """Length of each edge's coordinate segment under the metric at its midpoint."""
-    a, b = np.stack([points.z, points.xi1, points.xi2], axis=1)[edges.T]
-    v = b - a
-    try:
-        m = eval_forms(kind, *(a + 0.5 * v).T)
-    except OnZeroSection as exc:
-        raise DegenerateMetric(f"edge midpoint off the metric's domain: {exc}") from None
-    w = np.sqrt(np.maximum(np.einsum("ei,eij,ej->e", v, m, v.conj()).real, 0.0))
+def _abs2(c: np.ndarray) -> np.ndarray:
+    return c.real * c.real + c.imag * c.imag
+
+
+@dataclass(frozen=True)
+class EdgeFrame:
+    """Each edge's midpoint rho and its segment vector v's squared coframe norms there.
+
+    With h = 1 + |z|^2 and S = |xi1|^2 + |xi2|^2 at the midpoint, b, a and r
+    are |theta_b(v)|^2 = |v_z / h|^2, |theta_a(v)|^2 = |(xi2 v_1 - xi1 v_2) / S|^2
+    and |theta_r(v)|^2 = |zbar v_z / h + (xi1bar v_1 + xi2bar v_2) / S|^2
+    (``forms``), the same for every metric kind.
+    """
+
+    rho: np.ndarray
+    b: np.ndarray
+    a: np.ndarray
+    r: np.ndarray
+
+
+def _edge_frame(points: ResolvedPoint, edges: np.ndarray) -> EdgeFrame:
+    """The ``EdgeFrame`` of each (i, j) row of ``edges``, from the segment p_j - p_i."""
+    coords = np.stack([points.z, points.xi1, points.xi2])
+    p = coords[:, edges[:, 0]]
+    v = coords[:, edges[:, 1]] - p
+    z, x1, x2 = p + 0.5 * v
+    vz, v1, v2 = v
+    h = 1.0 + _abs2(z)
+    s = _abs2(x1) + _abs2(x2)
+    # where S is 0 (the zero section) or underflows, the quotients are inf or
+    # nan and _edge_weights raises on rho or on the weight
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        base = vz / h
+        fibre = (x1.conj() * v1 + x2.conj() * v2) / s
+        return EdgeFrame(rho=rho(ResolvedPoint(z, x1, x2)), b=_abs2(base),
+                         a=_abs2((x2 * v1 - x1 * v2) / s), r=_abs2(z.conj() * base + fibre))
+
+
+def _edge_weights(kind: FormKind, frame: EdgeFrame) -> np.ndarray:
+    """Length of each edge's coordinate segment under the metric at its midpoint.
+
+    The squared length is c_b b + c_a a + c_r r, with the kind's coefficients
+    at the midpoint: (t + u', u', u'') for the family and the cone (t = 0),
+    from one ``eval_profiles`` call; e^rho (1, 1, 1) for CONIFOLD_FLAT;
+    (1, 0, 0) for FUBINI_STUDY; their sum for OMEGA_HAT.  TAU is not
+    diagonal in the coframe and raises ``ValueError``.  A midpoint on the
+    zero section, a family or cone midpoint below ``RHO_DEEP_LIMIT`` and a
+    non-finite weight raise ``DegenerateMetric``.
+    """
+    if kind.tag == "Tau":
+        raise ValueError("TAU is not diagonal in the edge coframe")
+    profiled = kind.tag in _PROFILE_KINDS
+    bad = ~np.isfinite(frame.rho)
+    if profiled:
+        bad |= frame.rho < RHO_DEEP_LIMIT
+    if bad.any():
+        raise DegenerateMetric(f"edge midpoint off the metric's domain: {kind.tag} degenerates"
+                               f" at rho = {frame.rho[np.argmax(bad)]}")
+    if profiled:
+        t = kind.t or 0.0
+        prof = eval_profiles(ProfileParams(t), frame.rho)
+        cb, ca, cr = t + prof.uprime, prof.uprime, prof.usecond
+    else:
+        flat = np.exp(frame.rho) if kind.tag in ("ConifoldFlat", "OmegaHat") else 0.0
+        fs = 1.0 if kind.tag in ("FubiniStudy", "OmegaHat") else 0.0
+        cb, ca, cr = flat + fs, flat, flat
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite weight raises below
+        w = np.sqrt(cb * frame.b + ca * frame.a + cr * frame.r)
     if not np.isfinite(w).all():
         raise DegenerateMetric("nonfinite edge weight")
     return w
@@ -358,7 +418,8 @@ def _all_pairs(graph: scipy.sparse.csr_matrix, sources: np.ndarray | None = None
 class CloudStructure:
     """A sample with its edge set and two-direction CSR structure, not yet weighted.
 
-    ``edges`` are the (i < j) rows in key order.  The CSR stores each edge
+    ``edges`` are the (i < j) rows in key order and ``frame`` their
+    ``EdgeFrame``, which every metric kind shares.  The CSR stores each edge
     as two arcs, in the order of their key row * n + col; ``perm`` gives
     each arc's edge, so a metric kind only permutes its edge weights into
     the matrix data.
@@ -366,14 +427,15 @@ class CloudStructure:
 
     points: ResolvedPoint
     edges: np.ndarray
+    frame: EdgeFrame
     indices: np.ndarray
     indptr: np.ndarray
     perm: np.ndarray
 
     def weigh(self, kind: FormKind) -> scipy.sparse.csr_matrix:
-        """The graph of one metric kind, both arcs of each edge: one batched weight evaluation."""
+        """The graph of one metric kind, both arcs of each edge: ``_edge_weights`` on the frame."""
         n = len(self.indptr) - 1
-        data = _edge_weights(kind, self.points, self.edges)[self.perm]
+        data = _edge_weights(kind, self.frame)[self.perm]
         return scipy.sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
 
@@ -394,8 +456,9 @@ def cloud_structure(d: DomainSpec, n: int, graph_k: int, seed: int) -> CloudStru
     order = np.argsort(rows * n + cols)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return CloudStructure(points=points, edges=edges, indices=cols[order].astype(np.int32),
-                          indptr=indptr, perm=order % len(edges))
+    return CloudStructure(points=points, edges=edges, frame=_edge_frame(points, edges),
+                          indices=cols[order].astype(np.int32), indptr=indptr,
+                          perm=order % len(edges))
 
 
 def build_cloud(

@@ -122,11 +122,26 @@ class TestProfileTable:
         )
         assert run(cfg) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "t,rho,uprime,usecond,cubic_residual,ricci_potential_residual"
+        assert lines[0] == "t,rho,uprime,usecond,cubic_residual,usecond_fd_rel"
         for line in lines[1:]:
             cells = line.split(",")
             assert float(cells[4]) <= 1e-9
-            assert float(cells[5]) <= 1e-9
+            assert float(cells[5]) <= 1e-7
+
+    def test_fd_check_catches_a_wrong_usecond(self, tmp_path, monkeypatch):
+        # u'' off by 1e-6 relative, u' exact: only the derivative check can see it
+        real = cli.eval_profiles
+
+        def skewed(params, rho_values):
+            prof = real(params, rho_values)
+            prof.usecond = prof.usecond * (1.0 + 1e-6)
+            return prof
+
+        monkeypatch.setattr(cli, "eval_profiles", skewed)
+        out = tmp_path / "table.json"
+        assert main(["profile-table", "--n", "25", "--out", str(out)]) == 1
+        failed = [a["name"] for a in json.loads(out.read_text())["asserts"] if not a["pass"]]
+        assert failed == ["usecond_fd_rel_max"]
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
@@ -393,9 +408,9 @@ class TestEstimatesSweep:
         calls = []
         real = metricgeom._edge_weights
 
-        def counting(kind, points, edges):
+        def counting(kind, frame):
             calls.append(kind.t)
-            return real(kind, points, edges)
+            return real(kind, frame)
 
         monkeypatch.setattr(metricgeom, "_max_workers", lambda: 1)
         monkeypatch.setattr(metricgeom, "_edge_weights", counting)

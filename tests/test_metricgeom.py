@@ -18,7 +18,7 @@ import scipy.spatial
 import scipy.spatial.distance
 import scipy.stats.qmc
 
-from conifold_lab import metricgeom
+from conifold_lab import forms, metricgeom
 from conifold_lab.chart import OMEGA, ResolvedPoint, contract, omega_r, rho, second_chart
 from conifold_lab.errors import DegenerateMetric, NonFinite, OnZeroSection
 from conifold_lab.forms import (
@@ -34,6 +34,7 @@ from conifold_lab.metricgeom import (
     GHEstimate,
     _CHUNK,
     _all_pairs,
+    _edge_frame,
     _edge_weights,
     _emst,
     _fork_map,
@@ -157,7 +158,7 @@ def gh_dense(t_grid, n, seed, graph_k):
     edges = _graph_edges(pts, graph_k)
 
     def dist(kind):
-        return _all_pairs(symmetric_csr(n, edges, _edge_weights(kind, pts, edges)))
+        return _all_pairs(symmetric_csr(n, edges, _edge_weights(kind, _edge_frame(pts, edges))))
 
     d_cone = dist(CONE_METRIC)
     return [0.5 * float(np.max(np.abs(dist(calabi_family(t)) - d_cone))) for t in t_grid]
@@ -340,7 +341,7 @@ class TestCloud:
             pts.append(ResolvedPoint(base.z, s * base.xi1, s * base.xi2))
         # embed them into a sampled cloud by hand: weight pairs directly
         edges = _graph_edges(stack(pts), graph_k=4)
-        weights = _edge_weights(CONIFOLD_FLAT, stack(pts), edges)
+        weights = _edge_weights(CONIFOLD_FLAT, _edge_frame(stack(pts), edges))
         dist = _all_pairs(symmetric_csr(len(pts), edges, weights))
         radii = [math.sqrt(sum(abs(v) ** 2 for v in contract(p))) for p in pts]
         for i in range(len(pts)):
@@ -377,7 +378,7 @@ class TestCloud:
             assert np.array_equal(getattr(structure.points, coord), getattr(pts, coord))
         edges = _graph_edges(pts, k)
         for kind, graph in zip(kinds, map(structure.weigh, kinds)):
-            alone = symmetric_csr(n, edges, _edge_weights(kind, pts, edges))
+            alone = symmetric_csr(n, edges, _edge_weights(kind, _edge_frame(pts, edges)))
             assert graph.shape == alone.shape
             for attr in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(graph, attr), getattr(alone, attr))
@@ -496,7 +497,7 @@ class TestGraph:
         np.testing.assert_array_equal(structure.edges, edges)
         for kind in (CONE_METRIC, calabi_family(1e-2)):
             got = structure.weigh(kind)
-            want = symmetric_csr(n, edges, _edge_weights(kind, pts, edges))
+            want = symmetric_csr(n, edges, _edge_weights(kind, _edge_frame(pts, edges)))
             for attr in ("indices", "indptr", "data"):
                 assert getattr(got, attr).dtype == getattr(want, attr).dtype
                 assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
@@ -520,7 +521,12 @@ class TestGraph:
     def test_weights_match_per_edge_oracle(self, kind):
         pts = sample_domain(OMEGA, 200, seed=3)
         edges = _graph_edges(pts, graph_k=8)
-        got = _edge_weights(kind, pts, edges)
+        frame = _edge_frame(pts, edges)
+        if kind == TAU:  # not diagonal in the edge coframe; no graph is weighed under it
+            with pytest.raises(ValueError):
+                _edge_weights(kind, frame)
+            return
+        got = _edge_weights(kind, frame)
         want = np.array([segment_weight(kind, pts[i], pts[j]) for i, j in edges])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -529,27 +535,55 @@ class TestGraph:
         pts = stack([ResolvedPoint(0.2, *xi), ResolvedPoint(0.5j, -xi[0], -xi[1])])
         edges = _graph_edges(pts, graph_k=4)
         np.testing.assert_array_equal(edges, [[0, 1]])
-        for kind in (calabi_family(0.5), CONE_METRIC):
+        frame = _edge_frame(pts, edges)
+        # every kind a graph can be weighed under, not only those that degenerate there
+        for kind in (FUBINI_STUDY, OMEGA_HAT, CONIFOLD_FLAT, calabi_family(0.5), CONE_METRIC):
             with pytest.raises(DegenerateMetric):
-                _edge_weights(kind, pts, edges)
+                _edge_weights(kind, frame)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_nonfinite_weight_raises(self, monkeypatch, bad):
-        # one non-finite metric entry on one edge's midpoint makes that weight non-finite
+        # one non-finite profile lane on one edge's midpoint makes that weight non-finite
         pts = sample_domain(OMEGA, 40, seed=3)
         edges = _graph_edges(pts, graph_k=4)
-        real = metricgeom.eval_forms
+        real = metricgeom.eval_profiles
 
-        def poisoned(kind, *coords):
-            m = real(kind, *coords)
-            m[len(m) // 2] = bad
-            return m
+        def poisoned(params, r):
+            prof = real(params, r)
+            prof.uprime[len(prof.uprime) // 2] = bad
+            return prof
 
-        monkeypatch.setattr(metricgeom, "eval_forms", poisoned)
+        monkeypatch.setattr(metricgeom, "eval_profiles", poisoned)
         with pytest.raises(DegenerateMetric, match="nonfinite edge weight"):
-            _edge_weights(calabi_family(0.5), pts, edges)
+            _edge_weights(calabi_family(0.5), _edge_frame(pts, edges))
         with pytest.raises(DegenerateMetric, match="nonfinite edge weight"):
             cloud_structure(OMEGA, 40, 4, 3).weigh(CONE_METRIC)
+
+    def test_weighing_builds_no_form_matrix(self, monkeypatch):
+        # graphs are weighed in the edge coframe: no 3x3 form matrix and one
+        # profile solve per kind
+        structure = cloud_structure(omega_r(0.05), 500, 12, 42)
+        kinds = [CONE_METRIC] + [calabi_family(t) for t in (1.0, 1e-2, 1e-4)]
+        want = [structure.weigh(kind) for kind in kinds]
+        calls = []
+        real = metricgeom.eval_profiles
+
+        def counting(params, r):
+            calls.append(params.t)
+            return real(params, r)
+
+        def no_matrix(*args):
+            raise AssertionError("a graph weight built a form matrix")
+
+        # _matrix is the builder behind both eval_form and eval_forms
+        monkeypatch.setattr(forms, "eval_forms", no_matrix)
+        monkeypatch.setattr(forms, "_matrix", no_matrix)
+        monkeypatch.setattr(metricgeom, "eval_profiles", counting)
+        structure = cloud_structure(omega_r(0.05), 500, 12, 42)
+        for graph, expected in zip(map(structure.weigh, kinds), want):
+            for attr in ("data", "indices", "indptr"):
+                assert getattr(graph, attr).tobytes() == getattr(expected, attr).tobytes()
+        assert calls == [0.0, 1.0, 1e-2, 1e-4]
 
 
 class TestBackbone:
@@ -629,9 +663,10 @@ class TestGH:
         assert base_angle(i, j) > 1.0  # genuinely far apart on the base
 
         edges = _graph_edges(pts, graph_k=10)
+        frame = _edge_frame(pts, edges)
         t = 1.0
-        d_t = _all_pairs(symmetric_csr(700, edges, _edge_weights(calabi_family(t), pts, edges)))
-        d_0 = _all_pairs(symmetric_csr(700, edges, _edge_weights(CONE_METRIC, pts, edges)))
+        d_t = _all_pairs(symmetric_csr(700, edges, _edge_weights(calabi_family(t), frame)))
+        d_0 = _all_pairs(symmetric_csr(700, edges, _edge_weights(CONE_METRIC, frame)))
 
         # cone side: both points collapse to the tip; through-tip cost is two
         # radial stubs of order 1e-3

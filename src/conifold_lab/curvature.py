@@ -93,6 +93,9 @@ def _unit_stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 _UNIT_STENCILS = {order: _unit_stencil(order) for order in (2, 4)}
 
+#: Entries above the diagonal of a 3x3 matrix, which ``complex_hessian`` mirrors.
+_STRICT_UPPER = np.triu(np.ones((3, 3), dtype=bool), 1)
+
 
 def complex_hessian(
     f: Callable[[ResolvedPoint], np.ndarray], p: ResolvedPoint, s: StencilSpec
@@ -116,7 +119,7 @@ def complex_hessian(
     d = np.tensordot(values, weights, 1).reshape(3, 2, 3, 2)
     # upper triangle and diagonal; the lower triangle is exactly zero until mirrored
     m = 0.25 * ((d[:, 0, :, 0] + d[:, 1, :, 1]) + 1j * (d[:, 0, :, 1] - d[:, 1, :, 0]))
-    return HermitianForm(base=p, m=m + np.triu(m, 1).conj().T)
+    return HermitianForm(base=p, m=m + np.where(_STRICT_UPPER, m, 0).conj().T)
 
 
 def ricci_form(kind: FormKind, p: ResolvedPoint, s: StencilSpec) -> HermitianForm:

@@ -152,15 +152,17 @@ def _tau(m: np.ndarray, z, xi1) -> None:
 
 
 def _family_matrix(m: np.ndarray, z, xi1, xi2, t: float, uprime, usecond) -> None:
-    h = 1.0 + abs(z) ** 2
+    z2 = abs(z) ** 2
+    h = 1.0 + z2
     s = abs(xi1) ** 2 + abs(xi2) ** 2
+    hs = h * s
     zb = z.conjugate()
     # (u'' - u') / s and xibar_a xi_b / s are O(1) on the fibre; s^2 would
     # underflow for rho below about -355
     d = (usecond - uprime) / s
-    m[..., 0, 0] = (t + uprime + usecond * abs(z) ** 2) / h**2
-    m[..., 0, 1] = usecond * zb * xi1 / (h * s)
-    m[..., 0, 2] = usecond * zb * xi2 / (h * s)
+    m[..., 0, 0] = (t + uprime + usecond * z2) / h**2
+    m[..., 0, 1] = usecond * zb * xi1 / hs
+    m[..., 0, 2] = usecond * zb * xi2 / hs
     m[..., 1, 0] = m[..., 0, 1].conjugate()
     m[..., 2, 0] = m[..., 0, 2].conjugate()
     m[..., 1, 1] = d * (xi1.conjugate() * xi1 / s) + uprime / s

@@ -32,9 +32,10 @@ weighted graph of one metric kind, a ``scipy.sparse.csr_matrix``, when a
 caller asks, so the CLI's ``estimates`` sweep never weighs a t after its
 first small diameter.  ``gh_upper_bounds`` maps the weigher over the cone
 and each t; ``build_cloud`` weighs one kind of a fresh structure.  A graph
-is the only cloud type: the points stay on the structure, and no distance
-matrix is held.  Dijkstra rows come from ``scipy.sparse.csgraph.dijkstra``
-itself: ``shortest_path(method="D")`` validates the graph and then calls it.
+is the only cloud type: the structure keeps the edge frame and the arc
+arrays but not the points, and no distance matrix is held.  Dijkstra rows
+come from ``scipy.sparse.csgraph.dijkstra`` itself:
+``shortest_path(method="D")`` validates the graph and then calls it.
 
 ``cloud_diameter`` is exact from a few Dijkstra rows.  It bounds each
 node's farthest point by the rows already computed, as Takes & Kosters'
@@ -416,17 +417,14 @@ def _all_pairs(graph: scipy.sparse.csr_matrix, sources: np.ndarray | None = None
 
 @dataclass(frozen=True)
 class CloudStructure:
-    """A sample with its edge set and two-direction CSR structure, not yet weighted.
+    """A sample's edge set as its two-direction CSR structure, not yet weighted.
 
-    ``edges`` are the (i < j) rows in key order and ``frame`` their
-    ``EdgeFrame``, which every metric kind shares.  The CSR stores each edge
-    as two arcs, in the order of their key row * n + col; ``perm`` gives
-    each arc's edge, so a metric kind only permutes its edge weights into
-    the matrix data.
+    ``frame`` is the ``EdgeFrame`` of the (i < j) edges in key order, which
+    every metric kind shares.  The CSR stores each edge as two arcs, in the
+    order of their key row * n + col; ``perm`` gives each arc's edge, so a
+    metric kind only permutes its edge weights into the matrix data.
     """
 
-    points: ResolvedPoint
-    edges: np.ndarray
     frame: EdgeFrame
     indices: np.ndarray
     indptr: np.ndarray
@@ -456,9 +454,8 @@ def cloud_structure(d: DomainSpec, n: int, graph_k: int, seed: int) -> CloudStru
     order = np.argsort(rows * n + cols)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return CloudStructure(points=points, edges=edges, frame=_edge_frame(points, edges),
-                          indices=cols[order].astype(np.int32), indptr=indptr,
-                          perm=order % len(edges))
+    return CloudStructure(frame=_edge_frame(points, edges), indices=cols[order].astype(np.int32),
+                          indptr=indptr, perm=order % len(edges))
 
 
 def build_cloud(

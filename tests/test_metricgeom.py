@@ -374,11 +374,12 @@ class TestCloud:
         kinds = [calabi_family(t) for t in (1e-2, 1e-3, 1e-4)] + [CONE_METRIC]
         structure = cloud_structure(d, n, k, seed)
         pts = sample_domain(d, n, seed)
-        for coord in ("z", "xi1", "xi2"):
-            assert np.array_equal(getattr(structure.points, coord), getattr(pts, coord))
         edges = _graph_edges(pts, k)
+        frame = _edge_frame(pts, edges)
+        for field in ("rho", "b", "a", "r"):
+            assert np.array_equal(getattr(structure.frame, field), getattr(frame, field))
         for kind, graph in zip(kinds, map(structure.weigh, kinds)):
-            alone = symmetric_csr(n, edges, _edge_weights(kind, _edge_frame(pts, edges)))
+            alone = symmetric_csr(n, edges, _edge_weights(kind, frame))
             assert graph.shape == alone.shape
             for attr in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(graph, attr), getattr(alone, attr))
@@ -494,10 +495,13 @@ class TestGraph:
         structure = cloud_structure(domain, n, k, seed)
         pts = sample_domain(domain, n, seed)
         edges = _graph_edges(pts, k)
-        np.testing.assert_array_equal(structure.edges, edges)
+        frame = _edge_frame(pts, edges)
+        assert len(structure.perm) == 2 * len(edges)
+        for field in ("rho", "b", "a", "r"):
+            np.testing.assert_array_equal(getattr(structure.frame, field), getattr(frame, field))
         for kind in (CONE_METRIC, calabi_family(1e-2)):
             got = structure.weigh(kind)
-            want = symmetric_csr(n, edges, _edge_weights(kind, _edge_frame(pts, edges)))
+            want = symmetric_csr(n, edges, _edge_weights(kind, frame))
             for attr in ("indices", "indptr", "data"):
                 assert getattr(got, attr).dtype == getattr(want, attr).dtype
                 assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()

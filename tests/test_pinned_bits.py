@@ -5,15 +5,24 @@ tolerances; these compare with ``float.hex`` values stored here, so a change
 that moves any result by one ulp fails.  The values were captured on x86-64
 Linux with CPython 3.11, numpy 2.4.6 and its bundled OpenBLAS LAPACK; a different libm
 or LAPACK may round the last bit differently, and then these must be
-recaptured, not loosened.
+recaptured, not loosened.  To recapture, run this file as a script
+(``PYTHONPATH=src python tests/test_pinned_bits.py``): it prints every
+stored table and digest as the current code computes it.
+
+The digests extend the pins from a few chosen points to about 20,000
+drawn ones: each is the SHA-256 of the ``float.hex`` strings of (u', u'')
+at every input, so one changed rounding anywhere in the sample fails.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from conifold_lab.chart import ResolvedPoint
 from conifold_lab.curvature import StencilSpec, ricci_form
 from conifold_lab.forms import CONIFOLD_FLAT, calabi_family, compare_forms, eval_form
-from conifold_lab.profile import ProfileParams, eval_profile
+from conifold_lab.profile import RHO_CLAMP, ProfileParams, eval_profile, eval_profiles
 
 # (t, rho) -> (u', u'') from the scalar solve
 PROFILE_BITS = {
@@ -89,14 +98,65 @@ COMPARE_BITS = {
 }
 
 
+#: The t of each ``eval_profiles`` call in the lanes digest, each on every
+#: rho of ``_digest_inputs``.
+DIGEST_T = (0.0, 1e-06, 0.001, 0.1, 1.0)
+# SHA-256 of the (u', u'') hex strings of eval_profile at every (t, rho) of
+# _digest_inputs, and of eval_profiles at every t of DIGEST_T
+PROFILE_DIGEST = "37fe452b8d23781d39103182f3e2132e55af9c1d98133ccd7364c13556b62d64"
+PROFILES_DIGEST = "61da2e580bb802663dfa4e25cb4076b3e9317587ed041c6584b5358effeaea21"
+
+
 def _bits(x: float) -> str:
     return float(x).hex()
+
+
+def _digest_inputs() -> tuple[list[tuple[float, float]], np.ndarray]:
+    """(t, rho) pairs for the scalar solve and the rho array for the lanes.
+
+    20,000 pairs are drawn as bench ``pointwise`` draws them: t log-uniform
+    in [1e-6, 1], 80% of rho in [-40, 0] and 20% in [-600, -40].  The cone
+    t = 0 and the two clamp edges are added to both.
+    """
+    rng = np.random.default_rng(2025)
+    n = 20_000
+    t = 10.0 ** rng.uniform(-6.0, 0.0, n)
+    deep = rng.uniform(0.0, 1.0, n) < 0.2
+    rho = np.where(deep, rng.uniform(-600.0, -40.0, n), rng.uniform(-40.0, 0.0, n))
+    rho = np.concatenate([rho, RHO_CLAMP])
+    pairs = list(zip(t.tolist(), rho.tolist()))
+    pairs += [(0.0, r) for r in rho[::20].tolist()]
+    pairs += [(tt, r) for tt in DIGEST_T for r in RHO_CLAMP]
+    return pairs, rho
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _profile_digest(pairs) -> str:
+    return _digest(f"{_bits(e.uprime)} {_bits(e.usecond)}"
+                   for e in (eval_profile(ProfileParams(t), r) for t, r in pairs))
+
+
+def _profiles_digest(rho: np.ndarray) -> str:
+    lines = []
+    for t in DIGEST_T:
+        e = eval_profiles(ProfileParams(t), rho)
+        lines += [f"{_bits(up)} {_bits(us)}" for up, us in zip(e.uprime.tolist(), e.usecond.tolist())]
+    return _digest(lines)
 
 
 @pytest.mark.parametrize("t, r", sorted(PROFILE_BITS))
 def test_scalar_profile_bits(t, r):
     prof = eval_profile(ProfileParams(t), r)
     assert (_bits(prof.uprime), _bits(prof.usecond)) == PROFILE_BITS[t, r]
+
+
+def test_profile_digests():
+    pairs, rho = _digest_inputs()
+    assert _profile_digest(pairs) == PROFILE_DIGEST
+    assert _profiles_digest(rho) == PROFILES_DIGEST
 
 
 @pytest.mark.parametrize("t, p, entries", RICCI_BITS)
@@ -114,3 +174,31 @@ def test_compare_forms_bits(t):
         for p in COMPARE_POINTS
     ]
     assert got == COMPARE_BITS[t]
+
+
+def _print_tables() -> None:
+    """Print every stored table and digest as the current code computes it."""
+    print("PROFILE_BITS = {")
+    for t, r in sorted(PROFILE_BITS):
+        prof = eval_profile(ProfileParams(t), r)
+        print(f'    ({t!r}, {r!r}): ("{_bits(prof.uprime)}", "{_bits(prof.usecond)}"),')
+    print("}\n\nRICCI_BITS = [")
+    for t, p, _ in RICCI_BITS:
+        print(f"    ({t!r}, {p!r}, [")
+        for v in ricci_form(calabi_family(t), p, RICCI_STENCIL).m.ravel():
+            print(f'        ("{_bits(v.real)}", "{_bits(v.imag)}"),')
+        print("    ]),")
+    print("]\n\nCOMPARE_BITS = {")
+    for t in sorted(COMPARE_BITS, reverse=True):
+        print(f"    {t!r}: [")
+        for p in COMPARE_POINTS:
+            lo, hi = compare_forms(eval_form(calabi_family(t), p), eval_form(CONIFOLD_FLAT, p))
+            print(f'        ("{_bits(lo)}", "{_bits(hi)}"),')
+        print("    ],")
+    pairs, rho = _digest_inputs()
+    print(f'}}\n\nPROFILE_DIGEST = "{_profile_digest(pairs)}"')
+    print(f'PROFILES_DIGEST = "{_profiles_digest(rho)}"')
+
+
+if __name__ == "__main__":
+    _print_tables()

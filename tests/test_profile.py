@@ -1,5 +1,6 @@
 """Radial profile: cubic root, derivative identity, cone limit, positivity."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -343,6 +344,15 @@ class TestParams:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 ProfileParams(bad)
+
+    def test_frozen_and_hashable(self):
+        params = ProfileParams(0.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.t = 0.2
+        assert params.t == 0.1
+        assert params == ProfileParams(0.1)
+        assert hash(params) == hash(ProfileParams(0.1))
+        assert not hasattr(params, "__dict__")
 
     def test_no_warning_inside_clamp(self):
         with warnings.catch_warnings():

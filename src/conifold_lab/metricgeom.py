@@ -5,10 +5,11 @@ k-nearest-neighbour graph whose edge weights are Riemannian lengths of
 straight coordinate segments under the midpoint metric.  That rule errs both
 ways (against Gauss-Legendre segment lengths at n = 2000: -11.3% to +2.2%
 for the cone, -5.0% to +12.5% at t = 1), so graph distances may over- or
-underestimate.  The weights come from the t-independent coframe of
-``forms``, in which every kind but TAU is diagonal: each ``cloud_structure``
-computes its edges' ``EdgeFrame`` once, and a kind then costs one profile
-solve and no 3x3 matrix (``_edge_weights``).  Neighbour proximity is
+underestimate.  Graphs are weighed under the family and the cone only,
+the kinds an experiment compares; both are diagonal in the t-independent
+coframe of ``forms``, so each ``cloud_structure`` computes its edges'
+``EdgeFrame`` once, and a kind then costs one profile solve and no 3x3
+matrix (``_edge_weights``).  Neighbour proximity is
 measured in the contraction embedding into C^4, which adapts the graph to
 the collapsing geometry near the zero section.  A Euclidean minimum
 spanning tree over the same embedding is always added to the edge
@@ -375,33 +376,22 @@ def _edge_frame(points: ResolvedPoint, edges: np.ndarray) -> EdgeFrame:
 def _edge_weights(kind: FormKind, frame: EdgeFrame) -> np.ndarray:
     """Length of each edge's coordinate segment under the metric at its midpoint.
 
-    The squared length is c_b b + c_a a + c_r r, with the kind's coefficients
-    at the midpoint: (t + u', u', u'') for the family and the cone (t = 0),
-    from one ``eval_profiles`` call; e^rho (1, 1, 1) for CONIFOLD_FLAT;
-    (1, 0, 0) for FUBINI_STUDY; their sum for OMEGA_HAT.  TAU is not
-    diagonal in the coframe and raises ``ValueError``.  A midpoint on the
-    zero section, a family or cone midpoint below ``RHO_DEEP_LIMIT`` and a
-    non-finite weight raise ``DegenerateMetric``.
+    Only the profile kinds, the family and the cone (t = 0), are weighed:
+    the squared length is (t + u') b + u' a + u'' r, with (u', u'') at the
+    midpoint from one ``eval_profiles`` call.  Any other kind raises
+    ``ValueError``.  A midpoint on the zero section or below
+    ``RHO_DEEP_LIMIT`` and a non-finite weight raise ``DegenerateMetric``.
     """
-    if kind.tag == "Tau":
-        raise ValueError("TAU is not diagonal in the edge coframe")
-    profiled = kind.tag in _PROFILE_KINDS
-    bad = ~np.isfinite(frame.rho)
-    if profiled:
-        bad |= frame.rho < RHO_DEEP_LIMIT
+    if kind.tag not in _PROFILE_KINDS:
+        raise ValueError(f"graphs are weighed under the family and the cone only, not {kind.tag}")
+    bad = ~np.isfinite(frame.rho) | (frame.rho < RHO_DEEP_LIMIT)
     if bad.any():
         raise DegenerateMetric(f"edge midpoint off the metric's domain: {kind.tag} degenerates"
                                f" at rho = {frame.rho[np.argmax(bad)]}")
-    if profiled:
-        t = kind.t or 0.0
-        prof = eval_profiles(ProfileParams(t), frame.rho)
-        cb, ca, cr = t + prof.uprime, prof.uprime, prof.usecond
-    else:
-        flat = np.exp(frame.rho) if kind.tag in ("ConifoldFlat", "OmegaHat") else 0.0
-        fs = 1.0 if kind.tag in ("FubiniStudy", "OmegaHat") else 0.0
-        cb, ca, cr = flat + fs, flat, flat
+    t = kind.t or 0.0
+    prof = eval_profiles(ProfileParams(t), frame.rho)
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite weight raises below
-        w = np.sqrt(cb * frame.b + ca * frame.a + cr * frame.r)
+        w = np.sqrt((t + prof.uprime) * frame.b + prof.uprime * frame.a + prof.usecond * frame.r)
     if not np.isfinite(w).all():
         raise DegenerateMetric("nonfinite edge weight")
     return w

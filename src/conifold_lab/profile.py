@@ -11,33 +11,36 @@ the pointwise identity (t + u') u' u'' = e^{2 rho}, which is how u'' is
 evaluated here.  Only u' and u'' are ever needed downstream, so u itself is
 never integrated.
 
-Numerics: the root is found on the rescaled variable q = e^{-rho} u', which
-satisfies 2 e^{rho} q^3 + 3 t q^2 - 3 = 0.  This keeps every intermediate
-quantity O(1) even when e^{2 rho} spans hundreds of orders of magnitude.  The
-rescaled cubic is increasing and convex on q > 0, so Newton started above
-the root decreases monotonically onto it and needs no bracket or fallback.
-The start is the smaller of the two single-regime roots (u' ~ t^{-1/2} e^rho
-deep in the fibre, u' ~ (3/2)^{1/3} e^{2 rho/3} near the cone), which bounds
-the root from above; the iteration stops at the first step that does not
-decrease q, which must happen since q runs down a finite set of doubles.
-The closed-form cubic formula is deliberately not used: it cancels
-catastrophically for small e^{2 rho}.
+Numerics: the root is taken on the rescaled variable q = e^{-rho} u', which
+satisfies 2 e^{rho} q^3 + 3 t q^2 - 3 = 0 and stays O(1) even when e^{2 rho}
+spans hundreds of orders of magnitude.  With y = u'/t = q e^rho / t and
+s = sqrt(3) e^rho t^{-3/2} the cubic reads 2 y^3 + 3 y^2 = s^2, whose
+positive root has a closed form on each side of s = 1:
 
-Two loops solve the cubic, and each writes out the same Newton step, with
-its loop-invariant products 2 e^rho, 3 t, 6 e^rho and 6 t taken out of the
-loop, and the same u'' formula: ``eval_profile`` runs a float loop into an
-unfrozen record, so a single call pays no helper calls and no array
-overhead; ``eval_profiles`` runs a masked loop over an array of rho, where
-each lane stops at its own first non-decreasing step.  The float loop takes
-the smaller start with a comparison, not the builtin ``min``: that call was
-a fixed cost of every scalar solve, and removing it, with a slotted
-``ProfileParams``, took bench ``pointwise`` ``wall_s`` down by about 8%
-with the same bits (ROADMAP).  u'' is evaluated as
-(e^rho / (t + u')) (e^rho / u'), so neither e^{2 rho} nor e^{-2 rho} is ever
-formed.  Both loops land within 2 ulps of the exact root, but they are not
-bit-identical: ``np.exp`` and the array power differ from ``math.exp`` and
-the float power in the last bit on a few percent of inputs.  The tests that
-hold the two copies together are ``test_pinned_bits.py``, both
+    s <= 1:  y = 2 sin(theta) sin(pi/3 - theta),   theta = arcsin(s) / 3,
+    s > 1:   y = (w + 1/w) / 2 - 1/2,   w = cbrt(s + sqrt((s - 1)(s + 1)))^2.
+
+Neither branch cancels.  The first is a product of positive factors, good
+to an ulp or two even for tiny s, where its equal cos(pi/3 - 2 theta) - 1/2
+would cancel.  In the second, w >= 1, so (w + 1/w) / 2 >= 1 and subtracting
+1/2 loses at most one bit; (s - 1)(s + 1) is s^2 - 1 without its
+cancellation near s = 1.  From q = y t / e^rho one Newton step of the
+rescaled cubic finishes the solve: a Newton step squares the start's
+relative error, so a start good to a few ulps leaves only the rounding of
+the step itself, and the result lands within 2 ulps of the exact root.
+From s = ``S_CONE`` = 1e150 on, where (s - 1)(s + 1) would soon overflow,
+and s itself does for tiny or subnormal t, the start is the cone limit
+(3 / (2 e^rho))^{1/3}, within a relative 2^{-2/3} s^{-2/3} < 1e-100 of the
+root.
+
+``eval_profile`` branches on floats; ``eval_profiles`` takes both branches
+on every lane, with s clipped into each one's domain, and selects, so no
+lane raises a floating-point warning.  Both apply the same Newton step
+(``_newton``) and the same u'' formula, (e^rho / (t + u')) (e^rho / u'), so
+neither e^{2 rho} nor e^{-2 rho} is ever formed.  The two are not
+bit-identical: ``np.exp`` differs from ``math.exp`` in the last bit on a
+few percent of inputs, and the lanes reach s through its reciprocal.  The
+tests that hold them together are ``test_pinned_bits.py``, both
 ``test_exact_root_within_two_ulps`` and
 ``TestLanes.test_matches_scalar_eval_profile``.
 
@@ -63,6 +66,11 @@ RHO_CLAMP = (-700.0, 300.0)
 
 CONE_UPRIME_COEFF = (3.0 / 2.0) ** (1.0 / 3.0)
 CONE_USECOND_COEFF = (2.0 / 3.0) ** (2.0 / 3.0)
+
+SQRT3 = math.sqrt(3.0)
+PI_3 = math.pi / 3.0
+#: From this s on, the root's start is the cone limit (module docstring).
+S_CONE = 1e150
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,44 +119,38 @@ def _clamp_rho(rho):
     return clamped if isinstance(rho, np.ndarray) else float(clamped)
 
 
-def _solve_q(t: float, erho: float) -> float:
-    """Positive root of f(q) = 2*erho*q^3 + 3*t*q^2 - 3 by monotone Newton.
+def _newton(t, erho, q):
+    """One Newton step on f(q) = 2*erho*q^3 + 3*t*q^2 - 3; floats or arrays."""
+    return q - ((2.0 * erho * q + 3.0 * t) * q * q - 3.0) / (q * (6.0 * erho * q + 6.0 * t))
 
-    The start min((3/(2 e^rho))^{1/3}, t^{-1/2}) lies above the root:
-    both cubic terms are positive, so f > 0 at each single-regime root.  The
-    module docstring gives why the loop descends onto the root and terminates.
-    The minimum is an ``if``, not the builtin ``min``, whose call was the
-    cost to remove; both give the same value for every non-NaN pair.
-    """
-    q = (1.5 / erho) ** (1.0 / 3.0)
-    if t > 0.0:
-        m = 1.0 / math.sqrt(t)
-        if m < q:
-            q = m
-    q *= 1.0 + 1e-12
-    e2, t3, e6, t6 = 2.0 * erho, 3.0 * t, 6.0 * erho, 6.0 * t
-    while True:
-        q_new = q - ((e2 * q + t3) * q * q - 3.0) / (q * (e6 * q + t6))
-        if not q_new < q:
-            return q
-        q = q_new
+
+def _solve_q(t: float, erho: float) -> float:
+    """Positive root of 2*erho*q^3 + 3*t*q^2 - 3 for t > 0: the closed-form
+    start of the module docstring and one Newton step."""
+    s = SQRT3 * erho / t / math.sqrt(t)  # inf, not an error, past the float range
+    if s <= 1.0:
+        th = math.asin(s) / 3.0
+        q = 2.0 * math.sin(th) * math.sin(PI_3 - th) * t / erho
+    elif s < S_CONE:
+        w = math.cbrt(s + math.sqrt((s - 1.0) * (s + 1.0))) ** 2
+        q = (0.5 * (w + 1.0 / w) - 0.5) * t / erho
+    else:
+        q = math.cbrt(1.5 / erho)
+    return _newton(t, erho, q)
 
 
 def _solve_q_lanes(t, erho: np.ndarray) -> np.ndarray:
-    """``_solve_q`` on every lane of erho, from the same start and with the
-    same step; t > 0 is a float or an array of lanes.
+    """``_solve_q`` on every lane of erho; t > 0 is a float or an array of lanes.
 
-    A lane leaves the loop at its first step that does not decrease q and
-    keeps that q, exactly as the float loop returns.
+    s is taken as the reciprocal of t^{3/2} / (sqrt(3) e^rho), which
+    underflows where s would overflow, and clipped at ``S_CONE``.
     """
-    q = np.minimum((1.5 / erho) ** (1.0 / 3.0), 1.0 / np.sqrt(t)) * (1.0 + 1e-12)
-    live = np.ones(q.shape, dtype=bool)
-    e2, t3, e6, t6 = 2.0 * erho, 3.0 * t, 6.0 * erho, 6.0 * t
-    while live.any():
-        q_new = q - ((e2 * q + t3) * q * q - 3.0) / (q * (e6 * q + t6))
-        live &= q_new < q
-        q = np.where(live, q_new, q)
-    return q
+    s = 1.0 / np.maximum(t * np.sqrt(t) / (SQRT3 * erho), 1.0 / S_CONE)
+    th = np.arcsin(np.minimum(s, 1.0)) / 3.0
+    sh = np.maximum(s, 1.0)
+    w = np.cbrt(sh + np.sqrt((sh - 1.0) * (sh + 1.0))) ** 2
+    y = np.where(s <= 1.0, 2.0 * np.sin(th) * np.sin(PI_3 - th), 0.5 * (w + 1.0 / w) - 0.5)
+    return _newton(t, erho, np.where(s < S_CONE, y * t / erho, np.cbrt(1.5 / erho)))
 
 
 def _cone(rho, g) -> ProfileEval:
@@ -169,7 +171,7 @@ def eval_profile(params: ProfileParams, rho: float) -> ProfileEval:
 
 
 def eval_profiles(params: ProfileParams, rho) -> ProfileEval:
-    """``eval_profile`` on an array of rho in one masked Newton solve; array fields.
+    """``eval_profile`` on an array of rho in one batched solve; array fields.
 
     Raises ``NonFinite`` if any lane is not finite and warns once if any lane
     is clamped.

@@ -164,6 +164,16 @@ def gh_dense(t_grid, n, seed, graph_k):
     return [0.5 * float(np.max(np.abs(dist(calabi_family(t)) - d_cone))) for t in t_grid]
 
 
+def flat_cloud(d, n, graph_k, seed):
+    """The graph of CONIFOLD_FLAT, whose coefficients in the edge coframe are
+    e^rho (1, 1, 1): distances of another weight field for the graph tests,
+    since ``_edge_weights`` weighs the family and the cone only."""
+    structure = cloud_structure(d, n, graph_k, seed)
+    f = structure.frame
+    data = np.sqrt(np.exp(f.rho) * (f.b + f.a + f.r))[structure.perm]
+    return scipy.sparse.csr_matrix((data, structure.indices, structure.indptr), shape=(n, n))
+
+
 def segment_weight(kind, pa, pb):
     """Oracle for one edge weight: the midpoint form contracted with the difference vector."""
     v = np.array([pb.z - pa.z, pb.xi1 - pa.xi1, pb.xi2 - pa.xi2], dtype=complex)
@@ -318,7 +328,7 @@ class TestSampling:
 
 class TestCloud:
     def test_metric_properties(self):
-        graph = build_cloud(OMEGA, CONIFOLD_FLAT, n=120, graph_k=6, seed=5)
+        graph = flat_cloud(OMEGA, n=120, graph_k=6, seed=5)
         d = _all_pairs(graph)
         assert np.allclose(d, d.T)
         assert np.allclose(np.diag(d), 0.0)
@@ -328,8 +338,8 @@ class TestCloud:
             assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
     def test_doubling_k_never_increases_distances(self):
-        g6 = build_cloud(OMEGA, CONIFOLD_FLAT, n=120, graph_k=6, seed=5)
-        g12 = build_cloud(OMEGA, CONIFOLD_FLAT, n=120, graph_k=12, seed=5)
+        g6 = flat_cloud(OMEGA, n=120, graph_k=6, seed=5)
+        g12 = flat_cloud(OMEGA, n=120, graph_k=12, seed=5)
         assert (_all_pairs(g12) <= _all_pairs(g6) + 1e-12).all()
 
     def test_flat_kind_dominates_radial_gap(self):
@@ -341,7 +351,7 @@ class TestCloud:
             pts.append(ResolvedPoint(base.z, s * base.xi1, s * base.xi2))
         # embed them into a sampled cloud by hand: weight pairs directly
         edges = _graph_edges(stack(pts), graph_k=4)
-        weights = _edge_weights(CONIFOLD_FLAT, _edge_frame(stack(pts), edges))
+        weights = np.array([segment_weight(CONIFOLD_FLAT, pts[i], pts[j]) for i, j in edges])
         dist = _all_pairs(symmetric_csr(len(pts), edges, weights))
         radii = [math.sqrt(sum(abs(v) ** 2 for v in contract(p))) for p in pts]
         for i in range(len(pts)):
@@ -414,7 +424,10 @@ class TestCloudDiameter:
         ids=["cone", "flat", "t1", "t1e-2", "t1e-4"],
     )
     def test_equals_full_matrix_maximum(self, domain, n, k, kind):
-        graph = build_cloud(domain, kind, n=n, graph_k=k, seed=n + k)
+        if kind == CONIFOLD_FLAT:
+            graph = flat_cloud(domain, n=n, graph_k=k, seed=n + k)
+        else:
+            graph = build_cloud(domain, kind, n=n, graph_k=k, seed=n + k)
         assert cloud_diameter(graph) == _all_pairs(graph).max()
 
     @pytest.mark.parametrize("t", [1e-2, 1e-3, 1e-4])
@@ -526,7 +539,7 @@ class TestGraph:
         pts = sample_domain(OMEGA, 200, seed=3)
         edges = _graph_edges(pts, graph_k=8)
         frame = _edge_frame(pts, edges)
-        if kind == TAU:  # not diagonal in the edge coframe; no graph is weighed under it
+        if kind in (FUBINI_STUDY, OMEGA_HAT, TAU, CONIFOLD_FLAT):  # no graph is weighed under these
             with pytest.raises(ValueError):
                 _edge_weights(kind, frame)
             return
@@ -540,8 +553,8 @@ class TestGraph:
         edges = _graph_edges(pts, graph_k=4)
         np.testing.assert_array_equal(edges, [[0, 1]])
         frame = _edge_frame(pts, edges)
-        # every kind a graph can be weighed under, not only those that degenerate there
-        for kind in (FUBINI_STUDY, OMEGA_HAT, CONIFOLD_FLAT, calabi_family(0.5), CONE_METRIC):
+        # every kind a graph can be weighed under
+        for kind in (calabi_family(0.5), CONE_METRIC):
             with pytest.raises(DegenerateMetric):
                 _edge_weights(kind, frame)
 

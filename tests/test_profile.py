@@ -52,11 +52,22 @@ def bisect_root(t, rho, lo=0.0, hi=None, iters=200):
 
 
 def exact_root_pairs():
-    """The (t, rho) pairs of the exact-root checks: a grid of extremes plus 4,000 seeded draws."""
+    """The (t, rho) pairs of the exact-root checks.
+
+    A grid of extremes, 4,000 seeded draws, 500 draws on both sides of
+    s = sqrt(3) e^rho t^{-3/2} = 1, where the closed-form start changes
+    branch, and tiny and subnormal t, where s overflows.
+    """
     rng = np.random.default_rng(2024)
     pairs = [(t, r) for t in (1e-6, 1e-3, 1.0) for r in (-700.0, -40.0, 0.0, 300.0)]
     for _ in range(4000):
         pairs.append((float(10.0 ** rng.uniform(-6.0, 0.0)), float(rng.uniform(-700.0, 300.0))))
+    for side in (-1.0, 1.0):
+        for _ in range(250):
+            t = float(10.0 ** rng.uniform(-6.0, 0.0))
+            gap = side * float(10.0 ** rng.uniform(-16.0, -1.0))
+            pairs.append((t, 1.5 * math.log(t) - 0.5 * math.log(3.0) + gap))
+    pairs += [(t, r) for t in (1e-200, 1e-310, 5e-324) for r in (-700.0, 0.0, 300.0)]
     return pairs
 
 
@@ -174,7 +185,7 @@ class TestLanes:
             assert abs(off) <= 2.0, (tt, e, off)
 
     def test_lanes_do_not_interact(self):
-        # lanes that stop after different step counts give what each gives alone
+        # lanes that take different branches give what each gives alone
         erho = np.exp(np.linspace(-700.0, 300.0, 501))
         for t in (1e-6, 0.01, 1.0):
             alone = np.concatenate([_solve_q_lanes(t, erho[i : i + 1]) for i in range(len(erho))])

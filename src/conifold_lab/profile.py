@@ -26,8 +26,10 @@ would cancel.  In the second, w >= 1, so (w + 1/w) / 2 >= 1 and subtracting
 1/2 loses at most one bit; (s - 1)(s + 1) is s^2 - 1 without its
 cancellation near s = 1.  From q = y t / e^rho one Newton step of the
 rescaled cubic finishes the solve: a Newton step squares the start's
-relative error, so a start good to a few ulps leaves only the rounding of
-the step itself, and the result lands within 2 ulps of the exact root.
+relative error, so any start good to 1e-9 leaves only the rounding of the
+step itself, and the result lands within 2 ulps of the exact root.  That
+lets ``eval_profile`` take its cube roots as powers x ** (1/3), which run
+on every supported Python and are good to 1e-13 up to s = 1e150.
 From s = ``S_CONE`` = 1e150 on, where (s - 1)(s + 1) would soon overflow,
 and s itself does for tiny or subnormal t, the start is the cone limit
 (3 / (2 e^rho))^{1/3}, within a relative 2^{-2/3} s^{-2/3} < 1e-100 of the
@@ -39,9 +41,9 @@ lane raises a floating-point warning.  Both apply the same Newton step
 (``_newton``) and the same u'' formula, (e^rho / (t + u')) (e^rho / u'), so
 neither e^{2 rho} nor e^{-2 rho} is ever formed.  The two are not
 bit-identical: ``np.exp`` differs from ``math.exp`` in the last bit on a
-few percent of inputs, and the lanes reach s through its reciprocal.  The
-tests that hold them together are ``test_pinned_bits.py``, both
-``test_exact_root_within_two_ulps`` and
+few percent of inputs, and the lanes reach s through its reciprocal and
+take their cube roots with ``np.cbrt``.  The tests that hold them together
+are ``test_pinned_bits.py``, both ``test_exact_root_within_two_ulps`` and
 ``TestLanes.test_matches_scalar_eval_profile``.
 
 The t = 0 member has the closed-form solution
@@ -132,25 +134,27 @@ def _solve_q(t: float, erho: float) -> float:
         th = math.asin(s) / 3.0
         q = 2.0 * math.sin(th) * math.sin(PI_3 - th) * t / erho
     elif s < S_CONE:
-        w = math.cbrt(s + math.sqrt((s - 1.0) * (s + 1.0))) ** 2
+        w = (s + math.sqrt((s - 1.0) * (s + 1.0))) ** (2.0 / 3.0)
         q = (0.5 * (w + 1.0 / w) - 0.5) * t / erho
     else:
-        q = math.cbrt(1.5 / erho)
+        q = (1.5 / erho) ** (1.0 / 3.0)
     return _newton(t, erho, q)
 
 
 def _solve_q_lanes(t, erho: np.ndarray) -> np.ndarray:
     """``_solve_q`` on every lane of erho; t > 0 is a float or an array of lanes.
 
-    s is taken as the reciprocal of t^{3/2} / (sqrt(3) e^rho), which
-    underflows where s would overflow, and clipped at ``S_CONE``.
+    The lanes branch on x = 1/s = t^{3/2} / (sqrt(3) e^rho), which
+    underflows where s would overflow: the cone start from x <= 1/``S_CONE``
+    on, and s = 1/x, clipped at ``S_CONE``, in the other two starts.
     """
-    s = 1.0 / np.maximum(t * np.sqrt(t) / (SQRT3 * erho), 1.0 / S_CONE)
+    x = t * np.sqrt(t) / (SQRT3 * erho)
+    s = 1.0 / np.maximum(x, 1.0 / S_CONE)
     th = np.arcsin(np.minimum(s, 1.0)) / 3.0
     sh = np.maximum(s, 1.0)
     w = np.cbrt(sh + np.sqrt((sh - 1.0) * (sh + 1.0))) ** 2
     y = np.where(s <= 1.0, 2.0 * np.sin(th) * np.sin(PI_3 - th), 0.5 * (w + 1.0 / w) - 0.5)
-    return _newton(t, erho, np.where(s < S_CONE, y * t / erho, np.cbrt(1.5 / erho)))
+    return _newton(t, erho, np.where(x > 1.0 / S_CONE, y * t / erho, np.cbrt(1.5 / erho)))
 
 
 def _cone(rho, g) -> ProfileEval:

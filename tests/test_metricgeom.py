@@ -164,16 +164,6 @@ def gh_dense(t_grid, n, seed, graph_k):
     return [0.5 * float(np.max(np.abs(dist(calabi_family(t)) - d_cone))) for t in t_grid]
 
 
-def flat_cloud(d, n, graph_k, seed):
-    """The graph of CONIFOLD_FLAT, whose coefficients in the edge coframe are
-    e^rho (1, 1, 1): distances of another weight field for the graph tests,
-    since ``_edge_weights`` weighs the family and the cone only."""
-    structure = cloud_structure(d, n, graph_k, seed)
-    f = structure.frame
-    data = np.sqrt(np.exp(f.rho) * (f.b + f.a + f.r))[structure.perm]
-    return scipy.sparse.csr_matrix((data, structure.indices, structure.indptr), shape=(n, n))
-
-
 def segment_weight(kind, pa, pb):
     """Oracle for one edge weight: the midpoint form contracted with the difference vector."""
     v = np.array([pb.z - pa.z, pb.xi1 - pa.xi1, pb.xi2 - pa.xi2], dtype=complex)
@@ -328,7 +318,7 @@ class TestSampling:
 
 class TestCloud:
     def test_metric_properties(self):
-        graph = flat_cloud(OMEGA, n=120, graph_k=6, seed=5)
+        graph = build_cloud(OMEGA, calabi_family(0.1), n=120, graph_k=6, seed=5)
         d = _all_pairs(graph)
         assert np.allclose(d, d.T)
         assert np.allclose(np.diag(d), 0.0)
@@ -338,8 +328,8 @@ class TestCloud:
             assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
     def test_doubling_k_never_increases_distances(self):
-        g6 = flat_cloud(OMEGA, n=120, graph_k=6, seed=5)
-        g12 = flat_cloud(OMEGA, n=120, graph_k=12, seed=5)
+        g6 = build_cloud(OMEGA, calabi_family(0.1), n=120, graph_k=6, seed=5)
+        g12 = build_cloud(OMEGA, calabi_family(0.1), n=120, graph_k=12, seed=5)
         assert (_all_pairs(g12) <= _all_pairs(g6) + 1e-12).all()
 
     def test_flat_kind_dominates_radial_gap(self):
@@ -420,14 +410,13 @@ class TestCloudDiameter:
     @pytest.mark.parametrize("domain, n, k", _cloud_diameter_cases())
     @pytest.mark.parametrize(
         "kind",
-        [CONE_METRIC, CONIFOLD_FLAT, calabi_family(1.0), calabi_family(1e-2), calabi_family(1e-4)],
+        [CONE_METRIC, None, calabi_family(1.0), calabi_family(1e-2), calabi_family(1e-4)],
         ids=["cone", "flat", "t1", "t1e-2", "t1e-4"],
     )
     def test_equals_full_matrix_maximum(self, domain, n, k, kind):
-        if kind == CONIFOLD_FLAT:
-            graph = flat_cloud(domain, n=n, graph_k=k, seed=n + k)
-        else:
-            graph = build_cloud(domain, kind, n=n, graph_k=k, seed=n + k)
+        graph = build_cloud(domain, kind or CONE_METRIC, n=n, graph_k=k, seed=n + k)
+        if kind is None:  # flat: every edge weighs 1, so distances are hop counts and tie
+            graph.data[:] = 1.0
         assert cloud_diameter(graph) == _all_pairs(graph).max()
 
     @pytest.mark.parametrize("t", [1e-2, 1e-3, 1e-4])

@@ -70,7 +70,8 @@ from .errors import (
     NotPositiveDefinite,
     OnZeroSection,
 )
-from .profile import ProfileParams, cone_profile, eval_profile, eval_profiles
+from .profile import ProfileParams, eval_profile, eval_profiles
+from .profile import cone_profile  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 
 #: Below this rho the family metrics would return denormalized entries.
 RHO_DEEP_LIMIT = -650.0
@@ -193,7 +194,7 @@ def _matrix(kind: FormKind, z, xi1, xi2, profile) -> np.ndarray:
 def _profile_at(kind: FormKind, r: float) -> tuple[float, float]:
     if not math.isfinite(r) or r < RHO_DEEP_LIMIT:
         raise OnZeroSection(f"{kind.tag} degenerates at rho = {r}")
-    prof = cone_profile(r) if kind.t is None else eval_profile(ProfileParams(kind.t), r)
+    prof = eval_profile(ProfileParams(kind.t or 0.0), r)
     return prof.uprime, prof.usecond
 
 

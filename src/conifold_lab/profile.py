@@ -30,10 +30,18 @@ relative error, so any start good to 1e-9 leaves only the rounding of the
 step itself, and the result lands within 2 ulps of the exact root.  That
 lets ``eval_profile`` take its cube roots as powers x ** (1/3), which run
 on every supported Python and are good to 1e-13 up to s = 1e150.
-From s = ``S_CONE`` = 1e150 on, where (s - 1)(s + 1) would soon overflow,
-and s itself does for tiny or subnormal t, the start is the cone limit
-(3 / (2 e^rho))^{1/3}, within a relative 2^{-2/3} s^{-2/3} < 1e-100 of the
-root.
+
+The start is chosen on x = 1/s = t^{3/2} / (sqrt(3) e^rho), which never
+overflows.  Where x <= 1/``S_CONE``, so that (s - 1)(s + 1) would soon
+overflow, the start is the cone limit (3 / (2 e^rho))^{1/3}, within a
+relative 2^{-2/3} s^{-2/3} < 1e-100 of the root; elsewhere s = 1/x picks
+one of the two closed forms.  At t = 0, x is 0 and the cone limit is the
+exact root, the profile of the Candelas-de la Ossa cone:
+
+    u' = (3/2)^{1/3} e^{2 rho/3},   u'' = (2/3)^{2/3} e^{2 rho/3}.
+
+So the cone is the solver's t = 0 lane, not a path of its own;
+``cone_profile`` is ``eval_profile`` at t = 0.
 
 ``eval_profile`` branches on floats; ``eval_profiles`` takes both branches
 on every lane, with s clipped into each one's domain, and selects, so no
@@ -41,16 +49,10 @@ lane raises a floating-point warning.  Both apply the same Newton step
 (``_newton``) and the same u'' formula, (e^rho / (t + u')) (e^rho / u'), so
 neither e^{2 rho} nor e^{-2 rho} is ever formed.  The two are not
 bit-identical: ``np.exp`` differs from ``math.exp`` in the last bit on a
-few percent of inputs, and the lanes reach s through its reciprocal and
-take their cube roots with ``np.cbrt``.  The tests that hold them together
-are ``test_pinned_bits.py``, both ``test_exact_root_within_two_ulps`` and
+few percent of inputs, and the lanes take their cube roots with
+``np.cbrt``.  The tests that hold them together are
+``test_pinned_bits.py``, both ``test_exact_root_within_two_ulps`` and
 ``TestLanes.test_matches_scalar_eval_profile``.
-
-The t = 0 member has the closed-form solution
-
-    u' = (3/2)^{1/3} e^{2 rho/3},   u'' = (2/3)^{2/3} e^{2 rho/3},
-
-exposed separately as ``cone_profile``.
 """
 
 from __future__ import annotations
@@ -66,12 +68,9 @@ from .errors import NonFinite, RangeClampedWarning
 #: rho is clamped here before exponentiation to keep e^rho inside float range.
 RHO_CLAMP = (-700.0, 300.0)
 
-CONE_UPRIME_COEFF = (3.0 / 2.0) ** (1.0 / 3.0)
-CONE_USECOND_COEFF = (2.0 / 3.0) ** (2.0 / 3.0)
-
 SQRT3 = math.sqrt(3.0)
 PI_3 = math.pi / 3.0
-#: From this s on, the root's start is the cone limit (module docstring).
+#: From this s = 1/x on, the root's start is the cone limit (module docstring).
 S_CONE = 1e150
 
 
@@ -127,26 +126,26 @@ def _newton(t, erho, q):
 
 
 def _solve_q(t: float, erho: float) -> float:
-    """Positive root of 2*erho*q^3 + 3*t*q^2 - 3 for t > 0: the closed-form
+    """Positive root of 2*erho*q^3 + 3*t*q^2 - 3 for t >= 0: the closed-form
     start of the module docstring and one Newton step."""
-    s = SQRT3 * erho / t / math.sqrt(t)  # inf, not an error, past the float range
-    if s <= 1.0:
-        th = math.asin(s) / 3.0
+    x = t * math.sqrt(t) / (SQRT3 * erho)
+    if x <= 1.0 / S_CONE:
+        q = (1.5 / erho) ** (1.0 / 3.0)
+    elif x >= 1.0:  # s = 1/x <= 1
+        th = math.asin(1.0 / x) / 3.0
         q = 2.0 * math.sin(th) * math.sin(PI_3 - th) * t / erho
-    elif s < S_CONE:
+    else:
+        s = 1.0 / x
         w = (s + math.sqrt((s - 1.0) * (s + 1.0))) ** (2.0 / 3.0)
         q = (0.5 * (w + 1.0 / w) - 0.5) * t / erho
-    else:
-        q = (1.5 / erho) ** (1.0 / 3.0)
     return _newton(t, erho, q)
 
 
 def _solve_q_lanes(t, erho: np.ndarray) -> np.ndarray:
-    """``_solve_q`` on every lane of erho; t > 0 is a float or an array of lanes.
+    """``_solve_q`` on every lane of erho; t >= 0 is a float or an array of lanes.
 
-    The lanes branch on x = 1/s = t^{3/2} / (sqrt(3) e^rho), which
-    underflows where s would overflow: the cone start from x <= 1/``S_CONE``
-    on, and s = 1/x, clipped at ``S_CONE``, in the other two starts.
+    The branches are those of ``_solve_q``, with s = 1/x clipped at
+    ``S_CONE``.
     """
     x = t * np.sqrt(t) / (SQRT3 * erho)
     s = 1.0 / np.maximum(x, 1.0 / S_CONE)
@@ -157,18 +156,11 @@ def _solve_q_lanes(t, erho: np.ndarray) -> np.ndarray:
     return _newton(t, erho, np.where(x > 1.0 / S_CONE, y * t / erho, np.cbrt(1.5 / erho)))
 
 
-def _cone(rho, g) -> ProfileEval:
-    """The t = 0 profile from g = e^{2 rho/3}; floats or arrays."""
-    return ProfileEval(rho=rho, uprime=CONE_UPRIME_COEFF * g, usecond=CONE_USECOND_COEFF * g)
-
-
 def eval_profile(params: ProfileParams, rho: float) -> ProfileEval:
     """u' from the cubic and u'' from (t + u') u' u'' = e^{2 rho}."""
     if not RHO_CLAMP[0] <= rho <= RHO_CLAMP[1]:
         rho = _clamp_rho(rho)
     t = params.t
-    if t == 0.0:
-        return cone_profile(rho)
     erho = math.exp(rho)
     up = erho * _solve_q(t, erho)
     return ProfileEval(rho, up, (erho / (t + up)) * (erho / up))
@@ -181,18 +173,14 @@ def eval_profiles(params: ProfileParams, rho) -> ProfileEval:
     is clamped.
     """
     rho = _clamp_rho(np.asarray(rho, dtype=float))
-    if params.t == 0.0:
-        return _cone(rho, np.exp(2.0 * rho / 3.0))
     erho = np.exp(rho)
     up = erho * _solve_q_lanes(params.t, erho)
     return ProfileEval(rho=rho, uprime=up, usecond=(erho / (params.t + up)) * (erho / up))
 
 
 def cone_profile(rho: float) -> ProfileEval:
-    """Closed-form t = 0 profile; no root-finding."""
-    if not RHO_CLAMP[0] <= rho <= RHO_CLAMP[1]:
-        rho = _clamp_rho(rho)
-    return _cone(rho, math.exp(2.0 * rho / 3.0))
+    """The t = 0 profile, the Candelas-de la Ossa cone: ``eval_profile`` at t = 0."""
+    return eval_profile(ProfileParams(0.0), rho)
 
 
 def cubic_residual(params: ProfileParams, rho, uprime):

@@ -103,8 +103,8 @@ COMPARE_BITS = {
 DIGEST_T = (0.0, 1e-06, 0.001, 0.1, 1.0)
 # SHA-256 of the (u', u'') hex strings of eval_profile at every (t, rho) of
 # _digest_inputs, and of eval_profiles at every t of DIGEST_T
-PROFILE_DIGEST = "dfbf3ef3894c1ef580a0a7ad017d3ebc1c5c66dd90b2ffe3851523ae478c544a"
-PROFILES_DIGEST = "34e336b2facc81ab3f255110a8f5893abd4ddef17b9f5fc060321854ad74e1d2"
+PROFILE_DIGEST = "d5921ada9974b44b89b30e355cc27f32ab9f19333cb6653001307516ffabfeff"
+PROFILES_DIGEST = "81a08d2208671c2a03c0f161e1da0081f2aa48fc657aafc191e365522aded6f8"
 
 
 def _bits(x: float) -> str:

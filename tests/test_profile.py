@@ -29,6 +29,9 @@ RNG = np.random.default_rng(77)
 FD_STEP = 1e-4
 FD_USECOND_REL = 1e-7
 
+#: Doubles that ``root_offset_ulps`` walks before it calls a root wrong.
+MAX_WALK = 64
+
 
 def solve_uprime(params, rho):
     """The unique positive root u'(rho, t) of the profile cubic."""
@@ -56,7 +59,8 @@ def exact_root_pairs():
 
     A grid of extremes, 4,000 seeded draws, 500 draws on both sides of
     s = sqrt(3) e^rho t^{-3/2} = 1, where the closed-form start changes
-    branch, and tiny and subnormal t, where s overflows.
+    branch, tiny and subnormal t, where s overflows, and the cone t = 0 on
+    a grid and 1,000 draws over the rho clamp.
     """
     rng = np.random.default_rng(2024)
     pairs = [(t, r) for t in (1e-6, 1e-3, 1.0) for r in (-700.0, -40.0, 0.0, 300.0)]
@@ -68,6 +72,8 @@ def exact_root_pairs():
             gap = side * float(10.0 ** rng.uniform(-16.0, -1.0))
             pairs.append((t, 1.5 * math.log(t) - 0.5 * math.log(3.0) + gap))
     pairs += [(t, r) for t in (1e-200, 1e-310, 5e-324) for r in (-700.0, 0.0, 300.0)]
+    pairs += [(0.0, r) for r in (-700.0, -400.0, 0.0, 300.0)]
+    pairs += [(0.0, float(r)) for r in rng.uniform(*RHO_CLAMP, 1000)]
     return pairs
 
 
@@ -78,6 +84,8 @@ def root_offset_ulps(t, erho, q):
     the float coefficients.  Walking one double at a time from q towards the
     root finds the two doubles that bracket it; the position inside that last
     gap is interpolated linearly (the cubic is linear to far below an ulp).
+    A root more than ``MAX_WALK`` doubles off gives +-inf, so a wrong root
+    fails at once instead of walking for hours.
     """
     e, tt = Fraction(erho), Fraction(t)
 
@@ -89,15 +97,15 @@ def root_offset_ulps(t, erho, q):
     if fq == 0:
         return 0.0
     above = fq > 0
-    steps, prev, f_prev = 0, q, fq
-    while True:
+    prev, f_prev = q, fq
+    for steps in range(1, MAX_WALK + 1):
         cur = math.nextafter(prev, -math.inf if above else math.inf)
         f_cur = f(cur)
-        steps += 1
         if (f_cur <= 0) if above else (f_cur >= 0):
             off = steps - 1 + float(f_prev / (f_prev - f_cur))
             return off if above else -off
         prev, f_prev = cur, f_cur
+    return math.inf if above else -math.inf
 
 
 class TestSolveUprime:
@@ -280,12 +288,6 @@ class TestEvalProfile:
 
 
 class TestConeProfile:
-    def test_matches_solver(self):
-        for rho in RNG.uniform(-20.0, 0.0, size=100):
-            closed = cone_profile(float(rho)).uprime
-            solved = solve_uprime(ProfileParams(0.0), float(rho))
-            assert abs(closed - solved) <= 1e-10 * closed
-
     def test_exponent_scaling(self):
         # shift rho by 3 scales u' by e^2
         a = cone_profile(-5.0).uprime
@@ -294,7 +296,7 @@ class TestConeProfile:
 
 
 class TestFloatClamp:
-    """The float clamp paths of ``cone_profile`` and ``cubic_residual``, called directly."""
+    """The float clamps of ``cone_profile`` (``eval_profile``'s) and ``cubic_residual``."""
 
     CALLS = {
         "cone_profile": cone_profile,  # the whole record, rho included

@@ -45,29 +45,28 @@ class ResolvedPoint:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Either Omega = {rho < 0} or OmegaR = {e^rho <= r^2}."""
+    """The domain OmegaR = {e^rho <= r^2}; Omega = {rho < 0} is r = 1.
 
-    kind: str
-    r: float = 0.0
+    The sampler stays below the supremum, so Omega's open boundary is never
+    reached.
+    """
+
+    r: float
 
     def __post_init__(self):
-        if self.kind not in ("Omega", "OmegaR"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "OmegaR" and not self.r > 0:
+        if not self.r > 0:
             raise ValueError("OmegaR requires r > 0")
 
     def rho_max(self) -> float:
-        """Supremum of rho over the domain (0 for Omega, 2 log r for OmegaR)."""
-        if self.kind == "Omega":
-            return 0.0
+        """Supremum 2 log r of rho over the domain (exactly 0.0 for Omega)."""
         return 2.0 * math.log(self.r)
 
 
-OMEGA = DomainSpec("Omega")
+OMEGA = DomainSpec(1.0)
 
 
 def omega_r(r: float) -> DomainSpec:
-    return DomainSpec("OmegaR", r)
+    return DomainSpec(r)
 
 
 def rho(p: ResolvedPoint):

@@ -13,8 +13,8 @@ offsets around p (217 at order 4, 61 at order 2) and the weights that turn
 field values into those derivatives, so a field takes array coordinates of
 shape (K,), one lane per stencil point, and is evaluated once per Hessian.
 The Ricci form of a metric kind is -hessian(log det M) computed this way,
-with log det from one ``eval_forms`` call and one stacked Cholesky
-factorization so loss of positivity is detected.
+with log det from one ``eval_form`` call over the stencil's lanes and one
+stacked Cholesky factorization so loss of positivity is detected.
 
 The two routes to Ricci-flatness check different things.  The Ricci-matrix
 route checks the matrix that ``forms._family_matrix`` builds from (u', u''):
@@ -37,9 +37,8 @@ import numpy as np
 
 from .chart import ResolvedPoint
 from .errors import NonFinite, OnZeroSection, SingularMetric, StencilOutOfDomain
-from .forms import FormKind, HermitianForm, eval_forms
-from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it by name)
-from .profile import ProfileEval, ProfileParams, eval_profiles
+from .forms import FormKind, HermitianForm, eval_form
+from .profile import ProfileParams, eval_profiles
 from .profile import eval_profile  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 
 
@@ -126,14 +125,14 @@ def complex_hessian(
 def ricci_form(kind: FormKind, p: ResolvedPoint, s: StencilSpec) -> HermitianForm:
     """Ricci form -hessian(log det M) of the kind's metric at p.
 
-    log det comes from one ``eval_forms`` call and one stacked Cholesky.
+    log det comes from one ``eval_form`` call and one stacked Cholesky.
     Raises ``StencilOutOfDomain`` if a stencil point leaves the metric's
     domain and ``SingularMetric`` if M is not positive definite at one.
     """
 
     def log_det(q: ResolvedPoint) -> np.ndarray:
         try:
-            chol = np.linalg.cholesky(eval_forms(kind, q.z, q.xi1, q.xi2))
+            chol = np.linalg.cholesky(eval_form(kind, q).m)
         except np.linalg.LinAlgError:
             raise SingularMetric(f"{kind.tag} lost positivity on the stencil") from None
         return 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
@@ -141,27 +140,21 @@ def ricci_form(kind: FormKind, p: ResolvedPoint, s: StencilSpec) -> HermitianFor
     return HermitianForm(base=p, m=-complex_hessian(log_det, p, s).m)
 
 
-def potential_residuals(t: float, prof: ProfileEval) -> np.ndarray:
-    """Per-sample log((t + u') u' u'') - 2 rho of a profile evaluation (0 when Ricci-flat).
-
-    Evaluated as log((t + u') (u' e^{-rho}) (u'' e^{-rho})).  The bare
-    product (t + u') u' u'' is e^{2 rho} and underflows below rho ~ -354;
-    the scaled one stays near 1 across the whole rho clamp, and no large
-    2 rho is subtracted, so the residual keeps its few-ulp resolution.
-    """
-    scale = np.exp(-prof.rho)
-    return np.log((t + prof.uprime) * (prof.uprime * scale) * (prof.usecond * scale))
-
-
 def ricci_potential_residual(t: float, rho_samples) -> float:
-    """max over samples of |``potential_residuals``| (0 when Ricci-flat).
+    """max over samples of |log((t + u') u' u'') - 2 rho| (0 when Ricci-flat).
 
-    One ``eval_profiles`` call over the samples; ``NonFinite`` if any sample
-    is not finite, 0 for no samples.
+    One ``eval_profiles`` call over the samples, evaluated as
+    log((t + u') (u' e^{-rho}) (u'' e^{-rho})).  The bare product
+    (t + u') u' u'' is e^{2 rho} and underflows below rho ~ -354; the scaled
+    one stays near 1 across the whole rho clamp, and no large 2 rho is
+    subtracted, so the residual keeps its few-ulp resolution.  ``NonFinite``
+    if any sample is not finite, 0 for no samples.
     """
     params = ProfileParams(t)
     rho = np.asarray(rho_samples, dtype=float)
     if rho.size == 0:
         return 0.0
     prof = eval_profiles(params, rho)
-    return float(np.abs(potential_residuals(t, prof)).max())
+    scale = np.exp(-prof.rho)
+    residual = np.log((t + prof.uprime) * (prof.uprime * scale) * (prof.usecond * scale))
+    return float(np.abs(residual).max())

@@ -191,10 +191,24 @@ def _matrix(kind: FormKind, z, xi1, xi2, profile) -> np.ndarray:
     return m
 
 
-def _profile_at(kind: FormKind, r: float) -> tuple[float, float]:
-    if not math.isfinite(r) or r < RHO_DEEP_LIMIT:
-        raise OnZeroSection(f"{kind.tag} degenerates at rho = {r}")
-    prof = eval_profile(ProfileParams(kind.t or 0.0), r)
+def _profile(kind: FormKind, p: ResolvedPoint):
+    """(u', u'') at p: a float solve for a single point, one ``eval_profiles`` call for a stack.
+
+    ``OnZeroSection`` names the first lane on the zero section or below
+    ``RHO_DEEP_LIMIT``; a lane above the rho clamp gives one
+    ``RangeClampedWarning`` for the call.
+    """
+    r = rho(p)
+    params = ProfileParams(kind.t or 0.0)
+    if isinstance(r, float):
+        if not math.isfinite(r) or r < RHO_DEEP_LIMIT:
+            raise OnZeroSection(f"{kind.tag} degenerates at rho = {r}")
+        prof = eval_profile(params, r)
+    else:
+        bad = ~np.isfinite(r) | (r < RHO_DEEP_LIMIT)
+        if bad.any():
+            raise OnZeroSection(f"{kind.tag} degenerates at rho = {r.flat[np.argmax(bad)]}")
+        prof = eval_profiles(params, r)
     return prof.uprime, prof.usecond
 
 
@@ -204,36 +218,11 @@ def _float_or_lanes(x: np.ndarray):
 
 
 def eval_form(kind: FormKind, p: ResolvedPoint) -> HermitianForm:
-    """Matrix of the form at p in the coordinate frame (z, xi1, xi2).
+    """Matrix of the form at p in the coordinate frame (z, xi1, xi2), shape (..., 3, 3).
 
-    A stacked p is one ``eval_forms`` call; a single point solves its one
-    profile lane in floats.
+    A stacked p gives one matrix per lane from one profile call (``_profile``).
     """
-    if isinstance(p.z, np.ndarray):
-        return HermitianForm(base=p, m=eval_forms(kind, p.z, p.xi1, p.xi2))
-    m = _matrix(kind, p.z, p.xi1, p.xi2, lambda: _profile_at(kind, rho(p)))
-    return HermitianForm(base=p, m=m)
-
-
-def eval_forms(kind: FormKind, z, xi1, xi2) -> np.ndarray:
-    """Lane for lane what ``eval_form`` gives, for coordinate arrays; shape (..., 3, 3).
-
-    rho is computed on the arrays and the profile is one ``eval_profiles``
-    call over all lanes.  ``OnZeroSection`` names the first lane on the zero
-    section or below ``RHO_DEEP_LIMIT``; a lane above the rho clamp gives
-    one ``RangeClampedWarning`` for the call.
-    """
-    z, xi1, xi2 = np.broadcast_arrays(*(np.asarray(c, dtype=complex) for c in (z, xi1, xi2)))
-
-    def profile():
-        r = np.asarray(rho(ResolvedPoint(z, xi1, xi2)))
-        bad = ~np.isfinite(r) | (r < RHO_DEEP_LIMIT)
-        if bad.any():
-            raise OnZeroSection(f"{kind.tag} degenerates at rho = {r.flat[np.argmax(bad)]}")
-        prof = eval_profiles(ProfileParams(kind.t or 0.0), r)
-        return prof.uprime, prof.usecond
-
-    return _matrix(kind, z, xi1, xi2, profile)
+    return HermitianForm(base=p, m=_matrix(kind, p.z, p.xi1, p.xi2, lambda: _profile(kind, p)))
 
 
 def _fibre_jacobian(p: ResolvedPoint) -> np.ndarray:

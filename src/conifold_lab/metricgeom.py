@@ -42,11 +42,12 @@ come from ``scipy.sparse.csgraph.dijkstra`` itself:
 node's farthest point by the rows already computed, as Takes & Kosters'
 BoundingDiameters (2011) does, but more tightly: by the node's column
 maximum over those rows and, for each row, the node's entry plus the row's
-maximum over the remaining candidates.  It drops every node whose upper
-bound, widened by 3 n eps for rounding in path sums of up to n hops,
-cannot exceed the largest row maximum found.  The result is bit-identical
-to the maximum of the full all-pairs matrix; about 60 of 500 rows are
-computed on the clouds of the estimate sweep.
+maximum over the remaining candidates.  It computes the rows of the nodes
+with the largest bound first and drops every node whose bound, widened by
+3 n eps for rounding in path sums of up to n hops, cannot exceed the
+largest row maximum found.  The result is bit-identical to the maximum of
+the full all-pairs matrix; about 56 of 500 rows are computed on the clouds
+of the estimate sweep.
 
 ``gh_upper_bounds`` bounds the Gromov-Hausdorff distance between the graph
 metrics of the t-metric and of the cone on one shared sample, not between
@@ -206,11 +207,8 @@ def _halton(n: int, seed: int) -> np.ndarray:
             rng.shuffle(perm)
         k, acc, inv = np.arange(n), np.zeros(n), 1.0 / base
         for perm in perms:
-            if k.any():
-                k, digit = np.divmod(k, base)
-                acc += perm[digit] * inv
-            else:  # every remaining digit is 0
-                acc += perm[0] * inv
+            k, digit = np.divmod(k, base)
+            acc += perm[digit] * inv
             inv /= base
         out[:, col] = acc
     return out
@@ -458,15 +456,13 @@ def build_cloud(
 def cloud_diameter(graph: scipy.sparse.csr_matrix) -> float:
     """Largest sampled distance, equal bit for bit to ``_all_pairs(graph).max()``.
 
-    Bounds on each node's farthest point replace the full matrix, as in
-    Takes & Kosters' BoundingDiameters (2011).  Each round computes the
-    Dijkstra rows of ``_DIAM_ROWS`` candidates, alternately those with the
-    largest upper bound and those with the smallest lower bound, and
-    ``best`` keeps the largest row maximum computed.  A row d of
-    eccentricity ecc gives the lower bound max(d, ecc - d) <= ecc(x).  The
-    upper bound hi(x) covers x's pairs with the computed sources and with
-    the remaining candidates: the first are at most x's column maximum over
-    the computed rows, and a candidate y is at most d(x) + d(y) for every
+    Upper bounds on each node's farthest point replace the full matrix, as
+    in Takes & Kosters' BoundingDiameters (2011).  Each round computes the
+    Dijkstra rows of the ``_DIAM_ROWS`` candidates with the largest upper
+    bound, and ``best`` keeps the largest row maximum computed.  The upper
+    bound hi(x) covers x's pairs with the computed sources and with the
+    remaining candidates: the first are at most x's column maximum over the
+    computed rows, and a candidate y is at most d(x) + d(y) for every
     computed row d, so hi(x) = max(column max, min over d of (d(x) + max of
     d over the candidates)).  That is never above Takes & Kosters'
     min over d of (ecc + d(x)).  A node leaves the candidates once its row
@@ -476,30 +472,26 @@ def cloud_diameter(graph: scipy.sparse.csr_matrix) -> float:
     The slack covers rounding in path sums of up to n hops, and the last-bit
     difference between d(x, y) and d(y, x), so every skipped row's computed
     maximum is at most ``best`` and the result is that of the full matrix,
-    not an approximation of it.  A disconnected graph raises
-    ``DegenerateMetric`` from the first row.
+    not an approximation of it, whatever order the rows are computed in.  A
+    disconnected graph raises ``DegenerateMetric`` from the first row.
     """
     n = graph.shape[0]
     slack = 1.0 + 3.0 * n * np.finfo(float).eps
     cand = np.arange(n)
-    lo, hi = np.zeros(n), np.full(n, np.inf)
+    hi = np.full(n, np.inf)
     kept = np.empty((0, n))
-    best, by_hi = 0.0, True
+    best = 0.0
     while cand.size:
-        order = np.argsort(-hi if by_hi else lo, kind="stable")
+        order = np.argsort(-hi, kind="stable")
         rows = _all_pairs(graph, cand[order[:_DIAM_ROWS]])
-        ecc = rows.max(axis=1, keepdims=True)
-        best = max(best, float(ecc.max()))
+        best = max(best, float(rows.max()))
         rest = np.sort(order[_DIAM_ROWS:])
         cand = cand[rest]
-        sub = rows[:, cand]
-        lo = np.maximum(lo[rest], np.maximum(sub, ecc - sub).max(axis=0))
-        kept = np.vstack([kept[:, rest], sub])
+        kept = np.vstack([kept[:, rest], rows[:, cand]])
         reach = kept.max(axis=1, keepdims=True, initial=0.0)  # 0 once no candidate is left
         hi = np.maximum(kept.max(axis=0), (kept + reach).min(axis=0))
         alive = hi * slack > best
-        cand, lo, hi, kept = cand[alive], lo[alive], hi[alive], kept[:, alive]
-        by_hi = not by_hi
+        cand, hi, kept = cand[alive], hi[alive], kept[:, alive]
     return best
 
 

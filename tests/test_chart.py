@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conifold_lab.chart import (
+    OMEGA,
     DomainSpec,
     ResolvedPoint,
     contract,
@@ -116,8 +117,14 @@ class TestDomains:
     def test_bad_spec(self):
         with pytest.raises(ValueError, match="OmegaR requires r > 0"):
             omega_r(-1.0)
-        with pytest.raises(ValueError, match="unknown domain kind 'omega'"):
-            DomainSpec("omega")
+        with pytest.raises(ValueError, match="OmegaR requires r > 0"):
+            DomainSpec(float("nan"))
+
+    def test_omega_is_unit_radius(self):
+        # 2 log(1.0) is exactly 0.0, so Omega's top needs no case of its own
+        assert OMEGA == DomainSpec(1.0)
+        assert OMEGA.rho_max() == 0.0
+        assert omega_r(0.05).rho_max() == 2.0 * math.log(0.05)
 
 
 class TestSecondChart:

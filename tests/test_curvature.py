@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conifold_lab import curvature
 from conifold_lab.chart import ResolvedPoint, rho
 from conifold_lab.curvature import (
     _UNIT_STENCILS,
@@ -19,7 +20,7 @@ from conifold_lab.forms import (
     OMEGA_HAT,
     TAU,
     calabi_family,
-    eval_forms,
+    eval_form,
     restrict_to_fibre,
 )
 from conifold_lab.profile import ProfileParams, eval_profile
@@ -305,7 +306,7 @@ def mixed_field(q):
 
 
 def family_log_det(q):
-    chol = np.linalg.cholesky(eval_forms(calabi_family(0.1), q.z, q.xi1, q.xi2))
+    chol = np.linalg.cholesky(eval_form(calabi_family(0.1), q).m)
     return 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
 
 
@@ -330,6 +331,20 @@ class TestBatchedStencil:
 
         complex_hessian(field, ResolvedPoint(0.3, 0.5, 0.1), StencilSpec(h=1e-3, order=order))
         assert [len(c) for c in calls] == [lanes]
+
+    @pytest.mark.parametrize("order, lanes", [(2, 61), (4, 217)])
+    def test_ricci_form_one_eval_form_call(self, monkeypatch, order, lanes):
+        # the binding bench/tracing.py wraps to count evals_per_ricci
+        calls = []
+
+        def counting(kind, q):
+            calls.append(len(set(zip(q.z.tolist(), q.xi1.tolist(), q.xi2.tolist()))))
+            return eval_form(kind, q)
+
+        monkeypatch.setattr(curvature, "eval_form", counting)
+        p, s = ResolvedPoint(0.3, 0.5, 0.1), StencilSpec(h=1e-3, order=order)
+        ricci_form(calabi_family(0.1), p, s)
+        assert calls == [lanes]
 
     def test_non_finite_at_any_stencil_point(self):
         # finite at the centre (Re z = 0.3), infinite at Re z = 0.298 (offset -2h)

@@ -30,7 +30,6 @@ from conifold_lab.forms import (
     calabi_family,
     compare_forms,
     eval_form,
-    eval_forms,
     fibrewise_trace_H,
     restrict_to_fibre,
     vector_norm_sq,
@@ -183,11 +182,9 @@ class TestEvalForm:
 class TestEvalForms:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: f"{kind.tag}-{kind.t}")
     def test_matches_eval_form_lane_by_lane(self, kind):
-        pts = stack(SHELL)
-        got = eval_forms(kind, pts.z, pts.xi1, pts.xi2)
+        got = eval_form(kind, stack(SHELL)).m
         assert got.shape == (len(SHELL), 3, 3)
         assert_lanes_close(got, [eval_form(kind, p).m for p in SHELL], 1e-14)
-        np.testing.assert_array_equal(eval_form(kind, pts).m, got)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: f"{kind.tag}-{kind.t}")
     def test_clamped_lanes_warn_once_per_call(self, kind):
@@ -208,9 +205,8 @@ class TestEvalForms:
         for bad in (ResolvedPoint(0.5, 0, 0), deep):
             with pytest.raises(OnZeroSection):
                 eval_form(kind, bad)
-            pts = stack([SHELL[0], bad, SHELL[1]])
             with pytest.raises(OnZeroSection):
-                eval_forms(kind, pts.z, pts.xi1, pts.xi2)
+                eval_form(kind, stack([SHELL[0], bad, SHELL[1]]))
 
 
 class TestStackedHelpers:

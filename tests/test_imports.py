@@ -6,7 +6,9 @@ only so that the benchmark harness can reach or wrap a name through this
 module; its line says so with ``# noqa: F401`` and a reason naming
 ``bench/``.  Such an import must still be reached: some ``bench/*.py`` file
 names it as a ``(module, "name"`` wrap target or as ``module.name``, so an
-import kept for a target that the harness has dropped fails the suite.
+import kept for a target that the harness has dropped fails the suite.  And
+the module must not read it: a marked import that the code uses is no longer
+kept only for the harness, so its marker is stale and fails the suite too.
 
 The other way round, every package name that ``bench/`` reaches must exist,
 so that deleting a name only the harness uses fails here and not first under
@@ -50,11 +52,22 @@ def imports(source: str):
         yield node.lineno, names, "# noqa: F401" in text and "bench/" in text
 
 
+def read_names(source: str) -> set[str]:
+    return {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
+
+
 def unused_imports(source: str) -> list[str]:
     """``line: name`` of each imported name that the source never reads."""
-    used = {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
+    used = read_names(source)
     return [f"{line}: {name}" for line, names, for_bench in imports(source) if not for_bench
             for name in names if name not in used]
+
+
+def stale_bench_markers(source: str) -> list[str]:
+    """``line: name`` of each import kept for bench/ that the source reads after all."""
+    used = read_names(source)
+    return [f"{line}: {name}" for line, names, for_bench in imports(source) if for_bench
+            for name in names if name in used]
 
 
 def unreached_bench_imports(module: str, source: str, bench: str) -> list[str]:
@@ -89,6 +102,22 @@ def test_check_flags_what_it_should():
         "    return np.pi + os.path.sep\n"
     )
     assert unused_imports(source) == ["2: math", "6: c"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_stale_bench_markers(module):
+    assert stale_bench_markers((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_stale_marker_check_flags_what_it_should():
+    source = (
+        "from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it)\n"
+        "from .profile import eval_profile  # noqa: F401  (unused; bench/tracing.py wraps it)\n"
+        "from .chart import rho  # noqa: F401\n"
+        "def f(kind, p):\n"
+        "    return eval_form(kind, p).m + rho(p)\n"
+    )
+    assert stale_bench_markers(source) == ["1: eval_form"]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -581,8 +581,7 @@ class TestGraph:
         def no_matrix(*args):
             raise AssertionError("a graph weight built a form matrix")
 
-        # _matrix is the builder behind both eval_form and eval_forms
-        monkeypatch.setattr(forms, "eval_forms", no_matrix)
+        # _matrix is the builder behind eval_form
         monkeypatch.setattr(forms, "_matrix", no_matrix)
         monkeypatch.setattr(metricgeom, "eval_profiles", counting)
         structure = cloud_structure(omega_r(0.05), 500, 12, 42)

@@ -1,4 +1,4 @@
-"""Experiment runner: sweeps, scaling fits, convergence runs, reports.
+"""Experiment runner: sweeps, convergence runs, reports.
 
 Reports follow one schema: ``{"experiment", "config", "rows", "asserts",
 "version"}`` where every assert is ``{"name", "pass", "observed", "bound"}``.
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, curvature, forms, metricgeom
 from .chart import OMEGA, ResolvedPoint, omega_r, rho, rho_alpha
-from .errors import ConfigError, NonPositiveData
+from .errors import ConfigError
 from .metricgeom import _max_workers  # noqa: F401  (unused; bench/worker.py calls it by name)
 from .profile import ProfileParams, cubic_residual, eval_profiles
 from .profile import eval_profile  # noqa: F401  (unused; bench/tracing.py wraps it by name)
@@ -36,7 +36,6 @@ DEFAULT_TOLERANCES = {
     "sandwich_min_eigenvalue": -1e-10,
     "trace_bound_hat": 4.0 + 1e-9,
     "norm_identity_rel": 1e-8,
-    "diam_exponent_dev": 1e-2,
     "radial_closed_form_abs": 1e-8,
     "radial_uniform_slack": 1e-6,
     "gh_monotone_slack": 0.10,
@@ -81,23 +80,6 @@ class ExperimentConfig:
 def _pmap(fn, items):
     """Map in order over independent work items (GH seeds; bench/tracing.py wraps it by name)."""
     return [fn(x) for x in items]
-
-
-def fit_power_law(pairs) -> tuple[float, float, float]:
-    """Least-squares power law v = amplitude * t^exponent in log-log coordinates."""
-    if len(pairs) < 3:
-        raise NonPositiveData("need at least 3 pairs")
-    t = np.array([p[0] for p in pairs], dtype=float)
-    v = np.array([p[1] for p in pairs], dtype=float)
-    if np.any(t <= 0.0) or np.any(v <= 0.0):
-        raise NonPositiveData("power-law fit needs positive data")
-    lt, lv = np.log(t), np.log(v)
-    slope, intercept = np.polyfit(lt, lv, 1)
-    resid = lv - (slope * lt + intercept)
-    total = lv - lv.mean()
-    ss_tot = float(total @ total)
-    r_sq = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
-    return float(slope), float(math.exp(intercept)), r_sq
 
 
 def _check(name: str, observed: float, bound: float, ok: bool) -> dict:
@@ -161,26 +143,12 @@ def _exp_profile_table(cfg: ExperimentConfig):
 
 
 def _exp_diam_scaling(cfg: ExperimentConfig):
+    # the rows are the closed form sqrt(t) * pi/2, so a check on them would assert an identity
     rows = []
     for t in cfg.t_grid:
         diam = metricgeom.zero_section_diameter(t)
         rows.append({"t": t, "diameter": diam, "diam_t13": diam * t ** (-1.0 / 3.0)})
-    grid = list(cfg.t_grid)
-    if len(grid) < 3:
-        grid = sorted(set(grid + [0.1, 0.01, 0.001]), reverse=True)
-    slope, amp, r_sq = fit_power_law(
-        [(t, metricgeom.zero_section_diameter(t)) for t in grid]
-    )
-    t13 = [r["diam_t13"] for r in rows]
-    tol = DEFAULT_TOLERANCES["diam_exponent_dev"]
-    asserts = [
-        _check("diam_exponent", slope, tol, abs(slope - 0.5) <= tol),
-        _report_only("diam_amplitude", amp),
-        _report_only("diam_fit_r_squared", r_sq),
-        _at_most("diam_t13_max_at_t1", max(t13), t13[0] * (1.0 + 1e-12)),
-        _report_only("diam_t13_constant", max(t13)),
-    ]
-    return rows, asserts
+    return rows, []
 
 
 def _exp_gh_converge(cfg: ExperimentConfig):

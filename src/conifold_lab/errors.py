@@ -37,10 +37,6 @@ class DegenerateMetric(ConifoldLabError):
     """A cloud edge weight came out nonfinite or the metric degenerated."""
 
 
-class NonPositiveData(ConifoldLabError):
-    """Power-law fitting needs strictly positive abscissae and values."""
-
-
 class ConfigError(ConifoldLabError):
     """Invalid experiment configuration."""
 

@@ -24,6 +24,22 @@ def zero_section_area_quadrature(t, rho_floor=-300.0):
     return 2.0 * 4.0 * math.pi * val
 
 
+def zero_section_diameter_quadrature(t, rho_floor=-300.0):
+    """Quadrature oracle for the diameter: the meridian length from z = 0 to z = inf.
+
+    The meridian of the full restricted family form has length element
+    sqrt(t + u' + u'' r^2) / (1 + r^2) dr, with the profile terms evaluated
+    at rho_floor, and the integral runs over the two base charts by symmetry.
+    """
+    prof = eval_profile(ProfileParams(t), rho_floor)
+
+    def integrand(r):
+        return math.sqrt(t + prof.uprime + prof.usecond * r * r) / (1.0 + r * r)
+
+    val, _ = scipy.integrate.quad(integrand, 0.0, 1.0, **QUAD_OPTS)
+    return 2.0 * val
+
+
 def radial_length_quadrature(rho_top, t):
     """Quadrature oracle for the radial length: (1/2) * integral of sqrt(u'') d rho.
 

@@ -1,4 +1,4 @@
-"""CLI runner: fits, reports, determinism, exit codes."""
+"""CLI runner: reports, determinism, exit codes."""
 
 import ast
 import csv
@@ -17,32 +17,8 @@ import pytest
 import conifold_lab
 from conifold_lab import __version__, cli, forms, metricgeom
 from conifold_lab.chart import OMEGA, rho
-from conifold_lab.cli import ExperimentConfig, fit_power_law, main, run
-from conifold_lab.errors import ConfigError, DegenerateMetric, NonPositiveData
-
-
-class TestFitPowerLaw:
-    def test_exact_sqrt_law(self):
-        pairs = [(t, 7.0 * t**0.5) for t in (1.0, 0.5, 0.1, 0.01)]
-        exponent, amplitude, r_sq = fit_power_law(pairs)
-        assert abs(exponent - 0.5) <= 1e-10
-        assert abs(amplitude - 7.0) <= 1e-9
-        assert abs(r_sq - 1.0) <= 1e-12
-
-    def test_constant_data(self):
-        pairs = [(t, 3.25) for t in (1.0, 0.1, 0.01)]
-        exponent, amplitude, r_sq = fit_power_law(pairs)
-        assert abs(exponent) <= 1e-10
-        assert abs(amplitude - 3.25) <= 1e-9
-        assert r_sq == 1.0
-
-    def test_rejects_bad_data(self):
-        with pytest.raises(NonPositiveData):
-            fit_power_law([(1.0, 1.0), (0.5, 2.0)])
-        with pytest.raises(NonPositiveData):
-            fit_power_law([(1.0, 1.0), (0.5, -2.0), (0.1, 1.0)])
-        with pytest.raises(NonPositiveData):
-            fit_power_law([(0.0, 1.0), (0.5, 2.0), (0.1, 1.0)])
+from conifold_lab.cli import ExperimentConfig, main, run
+from conifold_lab.errors import ConfigError, DegenerateMetric
 
 
 class TestStartUp:
@@ -93,7 +69,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="at least two"):
             ExperimentConfig(experiment="gh-converge", t_grid=(0.5,))
         ExperimentConfig(experiment="gh-converge", t_grid=(1.0, 0.5), seed=0)
-        ExperimentConfig(experiment="diam-scaling", t_grid=(0.5,))  # its fit extends the grid
+        ExperimentConfig(experiment="diam-scaling", t_grid=(0.5,))  # it fits nothing
 
 
 def tolerance_reads(source: str) -> set[str]:
@@ -190,29 +166,19 @@ class TestCsvMirrorsJson:
 
 
 class TestDiamScaling:
-    @pytest.mark.parametrize("grid, fitted", [
-        ((0.5,), [0.5, 0.1, 0.01, 0.001]),
-        ((1.0, 0.01), [1.0, 0.1, 0.01, 0.001]),
-        ((0.1,), [0.1, 0.01, 0.001]),
-    ])
-    def test_short_grid_fit_is_extended(self, tmp_path, monkeypatch, grid, fitted):
-        # fewer than 3 t: the fit adds 0.1, 0.01 and 0.001; the rows keep the grid
-        pairs_seen = []
-        real = cli.fit_power_law
-
-        def spy(pairs):
-            pairs_seen.append([t for t, _ in pairs])
-            return real(pairs)
-
-        monkeypatch.setattr(cli, "fit_power_law", spy)
+    @pytest.mark.parametrize("grid", [(0.5,), (1.0, 0.01), (0.1,)])
+    def test_rows_keep_the_grid(self, tmp_path, grid):
+        # one closed-form row per t of the grid, however short, and no asserts
         out = tmp_path / "diam.json"
         assert run(ExperimentConfig(experiment="diam-scaling", t_grid=grid,
                                     output_path=str(out))) == 0
-        assert pairs_seen == [fitted]
         report = json.loads(out.read_text())
-        assert [row["t"] for row in report["rows"]] == list(grid)
-        byname = {a["name"]: a for a in report["asserts"]}
-        assert abs(byname["diam_exponent"]["observed"] - 0.5) <= 1e-12
+        assert report["rows"] == [
+            {"t": t, "diameter": metricgeom.zero_section_diameter(t),
+             "diam_t13": metricgeom.zero_section_diameter(t) * t ** (-1.0 / 3.0)}
+            for t in grid
+        ]
+        assert report["asserts"] == []
 
     def test_json_contents(self, tmp_path):
         out = tmp_path / "diam.json"
@@ -225,10 +191,75 @@ class TestDiamScaling:
         report = json.loads(out.read_text())
         assert report["experiment"] == "diam-scaling"
         assert report["version"] == __version__
-        byname = {a["name"]: a for a in report["asserts"]}
-        assert abs(byname["diam_exponent"]["observed"] - 0.5) <= 0.01
-        assert "diam_t13_constant" in byname
-        assert all(a["pass"] for a in report["asserts"])
+        assert report["asserts"] == []
+
+
+#: The report-only entries of ``estimates`` at the default t grid: each
+#: ``asserts`` entry of these names has its observed value as its bound.
+REPORT_ONLY = {
+    "vertical_collapse_sup_t1", "vertical_collapse_sup_t0.1", "vertical_collapse_sup_t0.01",
+    "fibre_trace_sup_t1", "fibre_trace_sup_t0.1", "fibre_trace_sup_t0.01",
+    "omega_delta_delta", "omega_delta_t",
+}
+
+
+def assert_no_self_bounds(reports: dict[str, list[dict]]) -> None:
+    """Fail on an ``asserts`` entry whose bound equals its observed value bit for bit.
+
+    Only ``estimates`` may hold such entries, and exactly those of ``REPORT_ONLY``.
+    """
+    found = {experiment: {a["name"] for a in asserts
+                          if float(a["bound"]).hex() == float(a["observed"]).hex()}
+             for experiment, asserts in reports.items()}
+    assert found == {experiment: REPORT_ONLY if experiment == "estimates" else set()
+                     for experiment in reports}
+
+
+class TestNoSelfBounds:
+    """A check whose bound is its own observed value asserts nothing."""
+
+    ARGVS = {
+        "profile-table": ["--n", "12"],
+        "diam-scaling": [],
+        "ricci-audit": ["--n", "50"],
+        "gh-converge": ["--n", "120", "--k", "6", "--t-grid", "1,0.1", "--seed", "2"],
+        # at n = 400 and seed 3 the sweep finds its (delta, t) at delta = 0.02
+        "estimates": ["--n", "400", "--seed", "3"],
+    }
+
+    @pytest.fixture(scope="class")
+    def reports(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("reports") / "r.json"
+        reports = {}
+        for experiment, argv in self.ARGVS.items():
+            main([experiment, *argv, "--out", str(out)])
+            reports[experiment] = json.loads(out.read_text())["asserts"]
+        return reports
+
+    def test_every_experiment(self, reports):
+        assert set(reports) == set(cli.EXPERIMENTS)
+        assert_no_self_bounds(reports)
+
+    @staticmethod
+    def planted(reports, experiment, entry=None, drop=None):
+        out = {exp: [a for a in asserts if a["name"] != drop] for exp, asserts in reports.items()}
+        out[experiment] += [entry] if entry else []
+        return out
+
+    @pytest.mark.parametrize("experiment, entry, drop", [
+        ("profile-table", cli._at_most("planted", 1e-3, 1e-3), None),  # a new identity
+        ("estimates", cli._report_only("planted", 0.25), None),  # a ninth name
+        ("estimates", None, "omega_delta_t"),  # a stale exemption
+    ], ids=["new-check", "ninth-name", "stale-exemption"])
+    def test_guard_fails_on_a_planted_entry(self, reports, experiment, entry, drop):
+        assert_no_self_bounds(reports)
+        with pytest.raises(AssertionError):
+            assert_no_self_bounds(self.planted(reports, experiment, entry, drop))
+
+    def test_guard_compares_bits(self, reports):
+        # a bound one ulp above its observed value is a real check
+        entry = cli._at_most("planted", 1e-3, math.nextafter(1e-3, 1.0))
+        assert_no_self_bounds(self.planted(reports, "profile-table", entry))
 
 
 class TestExitCodes:

@@ -452,9 +452,10 @@ class TestCloudDiameter:
         assert diam == _all_pairs(graph).max()
 
     def test_estimates_clouds_take_few_rows(self, monkeypatch):
-        # the eight clouds estimates measures at its defaults: every t of
-        # delta = 0.05 and 0.02, then delta = 0.01 until t = 1e-3 falls under eps;
-        # Takes-Kosters' upper bound ecc + d takes 627 rows on them
+        # the eight clouds the estimates report lists at its defaults: every t
+        # of delta = 0.05 and 0.02, then delta = 0.01 until t = 1e-3 falls under
+        # eps.  estimates also forks delta = 0.005, which it never reads at seed
+        # 42, so that cloud is not counted.  The rows are 139 + 186 + 137 = 462
         kinds = [calabi_family(t) for t in (1e-2, 1e-3, 1e-4)]
         graphs = [
             cloud_structure(omega_r(delta), n=500, graph_k=12, seed=42).weigh(kind)

@@ -65,10 +65,6 @@ class DomainSpec:
 OMEGA = DomainSpec(1.0)
 
 
-def omega_r(r: float) -> DomainSpec:
-    return DomainSpec(r)
-
-
 def rho(p: ResolvedPoint):
     """Log fibre radius, -inf on the zero section; scalar or equal-shape array coordinates."""
     with np.errstate(divide="ignore"):
@@ -76,13 +72,10 @@ def rho(p: ResolvedPoint):
     return r if isinstance(r, np.ndarray) else float(r)
 
 
-def rho_alpha(p: ResolvedPoint, alpha: int):
-    """Log radius of the alpha-th line-bundle factor, alpha in {1, 2}; -inf where xi_alpha = 0."""
-    if alpha not in (1, 2):
-        raise ValueError("alpha must be 1 or 2")
-    xi = p.xi1 if alpha == 1 else p.xi2
+def rho_1(p: ResolvedPoint):
+    """Log radius log((1 + |z|^2) |xi1|^2) of the first line-bundle factor; -inf where xi1 = 0."""
     with np.errstate(divide="ignore"):
-        r = np.log1p(abs(p.z) ** 2) + 2.0 * np.log(abs(xi))
+        r = np.log1p(abs(p.z) ** 2) + 2.0 * np.log(abs(p.xi1))
     return r if isinstance(r, np.ndarray) else float(r)
 
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, curvature, forms, metricgeom
-from .chart import OMEGA, ResolvedPoint, omega_r, rho, rho_alpha
+from .chart import OMEGA, DomainSpec, ResolvedPoint, rho, rho_1
 from .errors import ConfigError
 from .metricgeom import _max_workers  # noqa: F401  (unused; bench/worker.py calls it by name)
 from .profile import ProfileParams, cubic_residual, eval_profiles
@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ConfigError("t_grid must be strictly decreasing")
         if self.experiment == "gh-converge" and len(self.t_grid) < 2:
             raise ConfigError("gh-converge needs at least two t_grid values")
+        if self.experiment == "estimates" and not min(self.t_grid) / 100.0 > 0.0:
+            raise ConfigError("estimates needs min(t_grid) / 100 > 0: it sweeps t/10 and t/100")
         if self.n_samples < 10:
             raise ConfigError("n_samples must be >= 10")
         if self.graph_k < 4:
@@ -209,7 +211,7 @@ def _exp_ricci_audit(cfg: ExperimentConfig):
 def _loccom_min_eigs(pts: ResolvedPoint) -> tuple[float, float, float]:
     """Fibre sandwich over a stack of points: min lower and upper eigenvalue, max scaled trace."""
     restr = forms.restrict_to_fibre(forms.OMEGA_HAT, pts)
-    e_r1 = np.exp(rho_alpha(pts, 1))
+    e_r1 = np.exp(rho_1(pts))
     eye = np.eye(2)
     lower = np.linalg.eigvalsh(restr - eye)[:, 0]
     upper = np.linalg.eigvalsh((2.0 / e_r1)[:, None, None] * eye - restr)[:, 0]
@@ -241,7 +243,7 @@ def _estimates_for_t(t: float, sub: ResolvedPoint) -> dict:
     return _estimate_row(t=t,
                          norm_V_rel=float((np.abs(nv - prof.usecond) / prof.usecond).max()),
                          sup_w_scaled=float((np.exp(0.5 * r) * nw).max()),
-                         sup_fibre_trace_scaled=float((np.exp(rho_alpha(sub, 1)) * trace_h).max()),
+                         sup_fibre_trace_scaled=float((np.exp(rho_1(sub)) * trace_h).max()),
                          c0=float((np.minimum(prof.uprime, prof.usecond) * np.exp(-r)).min()),
                          c1=float(np.maximum(t + prof.uprime, prof.usecond).max()))
 
@@ -260,7 +262,7 @@ def _omega_delta_diameters(cfg: ExperimentConfig, delta: float) -> list[tuple[fl
     """
     eps = DEFAULT_TOLERANCES["omega_delta_eps"]
     t_small = (min(cfg.t_grid), min(cfg.t_grid) / 10.0, min(cfg.t_grid) / 100.0)
-    domain = omega_r(delta)
+    domain = DomainSpec(delta)
     structure = metricgeom.cloud_structure(domain, max(300, cfg.n_samples // 4), cfg.graph_k, cfg.seed)
     out = []
     for t in t_small:

@@ -12,13 +12,15 @@ Conventions, fixed once for the whole package:
 
 Available kinds:
 
-* ``FUBINI_STUDY``   -- pullback of the base form, potential log(1 + |z|^2)
-* ``OMEGA_HAT``      -- reference Kaehler form, Fubini-Study + hessian(e^rho)
-* ``TAU``            -- hessian of e^{rho_1}; degenerate, flat on each fibre
+* ``OMEGA_HAT``      -- reference Kaehler form: the Fubini-Study form of the
+                        base, potential log(1 + |z|^2), + hessian(e^rho)
 * ``CONIFOLD_FLAT``  -- hessian of e^rho, the pullback of the flat C^4 metric
                         under the contraction
 * ``calabi_family(t)`` -- the Ricci-flat family, t in (0, 1]
 * ``CONE_METRIC``    -- its t = 0 limit, the Ricci-flat cone metric
+
+A kind carries a radial profile exactly when its ``t`` is set: the family
+and the cone (t = 0).  ``OMEGA_HAT`` and ``CONIFOLD_FLAT`` take no ``t``.
 
 The family matrix is the coordinate-frame expansion (verified symbolically
 against the connection-frame expression)
@@ -42,10 +44,9 @@ In the t-independent coframe
 
 so omega_t against CONIFOLD_FLAT has exactly the three eigenvalues
 (t + u') e^{-rho}, u' e^{-rho} and u'' e^{-rho}, functions of rho alone.
-FUBINI_STUDY is |theta_b|^2 and OMEGA_HAT the sum of it and CONIFOLD_FLAT;
-only TAU is not diagonal in this coframe.  The coframe drives the graph
-weights (``metricgeom`` weighs every edge from it, with no matrix) and the
-CLI's tangential constants c0 and c1.  The matrices here stay the oracle:
+OMEGA_HAT, |theta_b|^2 + CONIFOLD_FLAT, is diagonal too.  The coframe
+drives the graph weights (``metricgeom`` weighs every edge from it, with no
+matrix) and the CLI's tangential constants c0 and c1.  The matrices here stay the oracle:
 the tests hold the per-edge coframe weights to ``eval_form`` (and so to
 ``_family_matrix``) and the tangential constants to ``compare_forms``.
 
@@ -79,8 +80,7 @@ RHO_DEEP_LIMIT = -650.0
 #: Smallest admissible eigenvalue for the reference form in compare_forms.
 _MIN_REF_EIGENVALUE = 1e-13
 
-_PROFILE_KINDS = ("CalabiFamily", "ConeMetric")
-_ALL_TAGS = ("FubiniStudy", "OmegaHat", "Tau", "ConifoldFlat") + _PROFILE_KINDS
+_ALL_TAGS = ("OmegaHat", "ConifoldFlat", "CalabiFamily", "ConeMetric")
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,16 @@ class FormKind:
         if self.tag == "CalabiFamily":
             if self.t is None or not (0.0 < self.t <= 1.0):
                 raise ValueError("CalabiFamily requires t in (0, 1]")
+        elif self.tag == "ConeMetric":
+            if self.t != 0.0:
+                raise ValueError("ConeMetric is the t = 0 kind")
         elif self.t is not None:
             raise ValueError(f"{self.tag} takes no parameter")
 
 
-FUBINI_STUDY = FormKind("FubiniStudy")
 OMEGA_HAT = FormKind("OmegaHat")
-TAU = FormKind("Tau")
 CONIFOLD_FLAT = FormKind("ConifoldFlat")
-CONE_METRIC = FormKind("ConeMetric")
+CONE_METRIC = FormKind("ConeMetric", 0.0)
 
 
 def calabi_family(t: float) -> FormKind:
@@ -139,19 +140,6 @@ def _hessian_exp_rho(m: np.ndarray, z, xi1, xi2) -> None:
     m[..., 2, 2] = h
 
 
-def _add_fubini_study(m: np.ndarray, z) -> None:
-    h = 1.0 + abs(z) ** 2
-    m[..., 0, 0] += 1.0 / h**2
-
-
-def _tau(m: np.ndarray, z, xi1) -> None:
-    h = 1.0 + abs(z) ** 2
-    m[..., 0, 0] = abs(xi1) ** 2
-    m[..., 0, 1] = z.conjugate() * xi1
-    m[..., 1, 0] = m[..., 0, 1].conjugate()
-    m[..., 1, 1] = h
-
-
 def _family_matrix(m: np.ndarray, z, xi1, xi2, t: float, uprime, usecond) -> None:
     z2 = abs(z) ** 2
     h = 1.0 + z2
@@ -172,25 +160,6 @@ def _family_matrix(m: np.ndarray, z, xi1, xi2, t: float, uprime, usecond) -> Non
     m[..., 2, 2] = d * (xi2.conjugate() * xi2 / s) + uprime / s
 
 
-def _matrix(kind: FormKind, z, xi1, xi2, profile) -> np.ndarray:
-    """The kind's matrix at scalar or equal-shape array coordinates, shape (..., 3, 3).
-
-    Each builder writes one matrix per lane into m; ``profile()`` gives
-    (u', u'') on the lanes and is called for the family kinds only.
-    """
-    # getattr rather than np.shape, which costs microseconds on a Python scalar
-    m = np.zeros(getattr(z, "shape", ()) + (3, 3), dtype=complex)
-    if kind.tag in ("OmegaHat", "ConifoldFlat"):
-        _hessian_exp_rho(m, z, xi1, xi2)
-    if kind.tag in ("OmegaHat", "FubiniStudy"):
-        _add_fubini_study(m, z)
-    if kind.tag == "Tau":
-        _tau(m, z, xi1)
-    if kind.tag in _PROFILE_KINDS:
-        _family_matrix(m, z, xi1, xi2, kind.t or 0.0, *profile())
-    return m
-
-
 def _profile(kind: FormKind, p: ResolvedPoint):
     """(u', u'') at p: a float solve for a single point, one ``eval_profiles`` call for a stack.
 
@@ -199,7 +168,7 @@ def _profile(kind: FormKind, p: ResolvedPoint):
     ``RangeClampedWarning`` for the call.
     """
     r = rho(p)
-    params = ProfileParams(kind.t or 0.0)
+    params = ProfileParams(kind.t)
     if isinstance(r, float):
         if not math.isfinite(r) or r < RHO_DEEP_LIMIT:
             raise OnZeroSection(f"{kind.tag} degenerates at rho = {r}")
@@ -222,7 +191,15 @@ def eval_form(kind: FormKind, p: ResolvedPoint) -> HermitianForm:
 
     A stacked p gives one matrix per lane from one profile call (``_profile``).
     """
-    return HermitianForm(base=p, m=_matrix(kind, p.z, p.xi1, p.xi2, lambda: _profile(kind, p)))
+    # getattr rather than np.shape, which costs microseconds on a Python scalar
+    m = np.zeros(getattr(p.z, "shape", ()) + (3, 3), dtype=complex)
+    if kind.t is not None:
+        _family_matrix(m, p.z, p.xi1, p.xi2, kind.t, *_profile(kind, p))
+    else:
+        _hessian_exp_rho(m, p.z, p.xi1, p.xi2)
+        if kind.tag == "OmegaHat":  # plus the Fubini-Study form of the base
+            m[..., 0, 0] += 1.0 / (1.0 + abs(p.z) ** 2) ** 2
+    return HermitianForm(base=p, m=m)
 
 
 def _fibre_jacobian(p: ResolvedPoint) -> np.ndarray:
@@ -247,9 +224,10 @@ def _fibre_jacobian(p: ResolvedPoint) -> np.ndarray:
 def restrict_to_fibre(kind: FormKind, p: ResolvedPoint) -> np.ndarray:
     """Pull the form back to L_w = {xi2 = w xi1} in the flat coordinates nu.
 
-    Returns the 2x2 Hermitian matrix, shape (..., 2, 2) on a stack.  TAU
-    restricts to the 2x2 identity exactly, which is what makes the
-    fibrewise trace below a plain matrix trace.
+    Returns the 2x2 Hermitian matrix, shape (..., 2, 2) on a stack.  The
+    flat fibre form, the hessian of |nu|^2 = e^{rho_1}, restricts to the 2x2
+    identity exactly, which is what makes the fibrewise trace below a plain
+    matrix trace.
     """
     jac = _fibre_jacobian(p)
     return np.swapaxes(jac, -1, -2) @ eval_form(kind, p).m @ jac.conjugate()

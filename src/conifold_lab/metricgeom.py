@@ -88,7 +88,7 @@ import scipy.special
 
 from .chart import OMEGA, DomainSpec, ResolvedPoint, _complex, contract, rho, second_chart
 from .errors import DegenerateMetric, OnZeroSection
-from .forms import CONE_METRIC, RHO_DEEP_LIMIT, _PROFILE_KINDS, FormKind, calabi_family
+from .forms import CONE_METRIC, RHO_DEEP_LIMIT, FormKind, calabi_family
 from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 from .profile import ProfileParams, eval_profile, eval_profiles
 from .profile import cone_profile  # noqa: F401  (unused; bench/tracing.py wraps it by name)
@@ -374,22 +374,22 @@ def _edge_frame(points: ResolvedPoint, edges: np.ndarray) -> EdgeFrame:
 def _edge_weights(kind: FormKind, frame: EdgeFrame) -> np.ndarray:
     """Length of each edge's coordinate segment under the metric at its midpoint.
 
-    Only the profile kinds, the family and the cone (t = 0), are weighed:
-    the squared length is (t + u') b + u' a + u'' r, with (u', u'') at the
-    midpoint from one ``eval_profiles`` call.  Any other kind raises
-    ``ValueError``.  A midpoint on the zero section or below
+    Only the kinds with a profile, the family and the cone (t = 0), are
+    weighed: the squared length is (t + u') b + u' a + u'' r, with (u', u'')
+    at the midpoint from one ``eval_profiles`` call.  A kind without ``t``
+    raises ``ValueError``.  A midpoint on the zero section or below
     ``RHO_DEEP_LIMIT`` and a non-finite weight raise ``DegenerateMetric``.
     """
-    if kind.tag not in _PROFILE_KINDS:
+    if kind.t is None:
         raise ValueError(f"graphs are weighed under the family and the cone only, not {kind.tag}")
     bad = ~np.isfinite(frame.rho) | (frame.rho < RHO_DEEP_LIMIT)
     if bad.any():
         raise DegenerateMetric(f"edge midpoint off the metric's domain: {kind.tag} degenerates"
                                f" at rho = {frame.rho[np.argmax(bad)]}")
-    t = kind.t or 0.0
-    prof = eval_profiles(ProfileParams(t), frame.rho)
+    prof = eval_profiles(ProfileParams(kind.t), frame.rho)
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite weight raises below
-        w = np.sqrt((t + prof.uprime) * frame.b + prof.uprime * frame.a + prof.usecond * frame.r)
+        w = np.sqrt((kind.t + prof.uprime) * frame.b + prof.uprime * frame.a
+                    + prof.usecond * frame.r)
     if not np.isfinite(w).all():
         raise DegenerateMetric("nonfinite edge weight")
     return w
@@ -603,8 +603,8 @@ def gh_upper_bounds(
     through ``_fork_map`` after the build, and each returns only its per-t
     maxima.  The maximum over chunks does not depend on their grouping, so
     the bounds equal those of the serial loop.  A worker's
-    ``DegenerateMetric`` reaches the caller as it would serially.  Raises ``ValueError`` unless every t lies
-    in (0, 1], n >= 10 and graph_k >= 4.
+    ``DegenerateMetric`` reaches the caller as it would serially.  Raises
+    ``ValueError`` unless every t lies in (0, 1], n >= 10 and graph_k >= 4.
     """
     kinds = [CONE_METRIC] + [calabi_family(t) for t in t_grid]
     graphs = list(map(cloud_structure(OMEGA, n, graph_k, seed).weigh, kinds))

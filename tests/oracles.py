@@ -1,7 +1,8 @@
-"""Quadrature oracles shared by the test files."""
+"""Oracles shared by the test files: quadratures and two reference form matrices."""
 
 import math
 
+import numpy as np
 import scipy.integrate
 
 from conifold_lab.profile import ProfileParams, eval_profile
@@ -75,3 +76,24 @@ def fs_diameter_sweep(n_dirs=512):
         cos_theta = 1.0 - 2.0 * (k + 0.5) / n_dirs
         best = max(best, fs_radial_distance(math.sqrt(0.5 * (1.0 + cos_theta))))
     return best
+
+
+def tau_matrix(p):
+    """Hessian of e^{rho_1} = (1 + |z|^2) |xi1|^2, shape (..., 3, 3) on a stacked p.
+
+    The flat fibre form: it restricts to the identity in the fibre
+    coordinates nu, and has rank 2 at most.
+    """
+    m = np.zeros(np.shape(p.z) + (3, 3), dtype=complex)
+    m[..., 0, 0] = abs(p.xi1) ** 2
+    m[..., 0, 1] = np.conj(p.z) * p.xi1
+    m[..., 1, 0] = np.conj(m[..., 0, 1])
+    m[..., 1, 1] = 1.0 + abs(p.z) ** 2
+    return m
+
+
+def fubini_study_matrix(p):
+    """Hessian of log(1 + |z|^2), the Fubini-Study form of the base, shape (..., 3, 3)."""
+    m = np.zeros(np.shape(p.z) + (3, 3), dtype=complex)
+    m[..., 0, 0] = 1.0 / (1.0 + abs(p.z) ** 2) ** 2
+    return m

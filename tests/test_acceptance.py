@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conifold_lab.chart import OMEGA, ResolvedPoint, omega_r, rho, rho_alpha
+from conifold_lab.chart import OMEGA, DomainSpec, ResolvedPoint, rho, rho_1
 from conifold_lab.curvature import StencilSpec, ricci_form
 from conifold_lab.forms import (
     CONIFOLD_FLAT,
@@ -114,7 +114,7 @@ def test_04_fibre_sandwich():
     pts = sample_domain(OMEGA, 100_000, seed=1001)
     eye = np.eye(2)
     m2 = restrict_to_fibre(OMEGA_HAT, pts)
-    e_r1 = np.exp(rho_alpha(pts, 1))
+    e_r1 = np.exp(rho_1(pts))
     worst_lower = np.linalg.eigvalsh(m2 - eye)[:, 0].min()
     worst_upper = np.linalg.eigvalsh((2.0 / e_r1)[:, None, None] * eye - m2)[:, 0].min()
     elapsed = time.monotonic() - start
@@ -216,7 +216,7 @@ def test_11_small_neighbourhood_shrinks():
     eps = 0.2
     found = None
     for delta, t in ((0.01, 1e-3), (0.005, 1e-4), (0.002, 1e-5)):
-        graph = build_cloud(omega_r(delta), calabi_family(t), n=400, graph_k=10, seed=7)
+        graph = build_cloud(DomainSpec(delta), calabi_family(t), n=400, graph_k=10, seed=7)
         diam = cloud_diameter(graph) + 2 * radial_stub(t, 2 * math.log(delta) - 20.0)
         if diam < eps:
             found = (delta, t, diam)

@@ -11,13 +11,17 @@ from conifold_lab.chart import (
     ResolvedPoint,
     contract,
     nu_coords,
-    omega_r,
     rho,
-    rho_alpha,
+    rho_1,
     second_chart,
 )
 
 RNG = np.random.default_rng(20240817)
+
+
+def swap_fibre(p):
+    """p with xi1 and xi2 exchanged, so that its rho_1 is the rho_2 of p."""
+    return ResolvedPoint(p.z, p.xi2, p.xi1)
 
 
 def random_point(scale=1.0, off_section=True):
@@ -54,11 +58,11 @@ class TestRho:
 
 class TestRhoAlpha:
     def test_component_radius(self):
-        assert rho_alpha(ResolvedPoint(0, 1, 1), 1) == 0.0
+        assert rho_1(ResolvedPoint(0, 1, 1)) == 0.0
 
     def test_derived_value(self):
         # (1+4) * 0.01 = 0.05
-        got = rho_alpha(ResolvedPoint(2, 0.1, 0), 1)
+        got = rho_1(ResolvedPoint(2, 0.1, 0))
         assert got == pytest.approx(math.log(0.05), rel=1e-14)
 
     def test_additivity(self):
@@ -67,12 +71,8 @@ class TestRhoAlpha:
             if p.xi1 == 0 or p.xi2 == 0:
                 continue
             total = math.exp(rho(p))
-            parts = math.exp(rho_alpha(p, 1)) + math.exp(rho_alpha(p, 2))
+            parts = math.exp(rho_1(p)) + math.exp(rho_1(swap_fibre(p)))
             assert abs(total - parts) <= 1e-12 * total
-
-    def test_bad_alpha(self):
-        with pytest.raises(ValueError):
-            rho_alpha(ResolvedPoint(0, 1, 0), 3)
 
 
 class TestNuCoords:
@@ -90,7 +90,7 @@ class TestNuCoords:
                 continue
             n1, n2 = nu_coords(p)
             lhs = abs(n1) ** 2 + abs(n2) ** 2
-            rhs = math.exp(rho_alpha(p, 1))
+            rhs = math.exp(rho_1(p))
             assert abs(lhs - rhs) <= 1e-12 * max(lhs, rhs)
 
 
@@ -116,7 +116,7 @@ class TestContract:
 class TestDomains:
     def test_bad_spec(self):
         with pytest.raises(ValueError, match="OmegaR requires r > 0"):
-            omega_r(-1.0)
+            DomainSpec(-1.0)
         with pytest.raises(ValueError, match="OmegaR requires r > 0"):
             DomainSpec(float("nan"))
 
@@ -124,7 +124,7 @@ class TestDomains:
         # 2 log(1.0) is exactly 0.0, so Omega's top needs no case of its own
         assert OMEGA == DomainSpec(1.0)
         assert OMEGA.rho_max() == 0.0
-        assert omega_r(0.05).rho_max() == 2.0 * math.log(0.05)
+        assert DomainSpec(0.05).rho_max() == 2.0 * math.log(0.05)
 
 
 class TestSecondChart:
@@ -167,12 +167,13 @@ class TestStackedPoints:
         np.testing.assert_array_equal(sub.xi2, [0.5j, 0.7])
 
     def test_rho_alpha_lanewise(self):
+        # rho_1 of p and of the swapped fibre, whose rho_1 is the rho_2 of p
         p = self.stacked()
-        for alpha in (1, 2):
-            got = rho_alpha(p, alpha)
-            want = [rho_alpha(p[i], alpha) for i in range(4)]
+        for q in (p, swap_fibre(p)):
+            got = rho_1(q)
+            want = [rho_1(q[i]) for i in range(4)]
             np.testing.assert_allclose(got, want, rtol=1e-15)
-        assert rho_alpha(p, 1)[0] == float("-inf") and rho_alpha(p, 2)[3] == float("-inf")
+        assert rho_1(p)[0] == float("-inf") and rho_1(swap_fibre(p))[3] == float("-inf")
 
     def test_second_chart_lanewise(self):
         p = self.stacked()

@@ -69,6 +69,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="at least two"):
             ExperimentConfig(experiment="gh-converge", t_grid=(0.5,))
         ExperimentConfig(experiment="gh-converge", t_grid=(1.0, 0.5), seed=0)
+        # estimates also sweeps min(t_grid) / 10 and / 100, which must not underflow to 0
+        with pytest.raises(ConfigError, match=r"min\(t_grid\) / 100 > 0"):
+            ExperimentConfig(experiment="estimates", t_grid=(1.0, 1e-323))
+        ExperimentConfig(experiment="profile-table", t_grid=(1e-323,))
         ExperimentConfig(experiment="diam-scaling", t_grid=(0.5,))  # it fits nothing
 
 
@@ -281,6 +285,7 @@ class TestExitCodes:
         ["ricci-audit", "--seed", "-1"],
         ["estimates", "--seed", "-1"],
         ["gh-converge", "--n", "60", "--k", "6", "--t-grid", "0.5"],
+        ["estimates", "--t-grid", "1e-323"],
     ])
     def test_bad_config_runs_nothing(self, tmp_path, capsys, argv):
         out = tmp_path / "r.json"

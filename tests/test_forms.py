@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conifold_lab.chart import OMEGA, ResolvedPoint, rho, rho_alpha
+from conifold_lab.chart import OMEGA, ResolvedPoint, rho, rho_1
 from conifold_lab.curvature import StencilSpec, complex_hessian
 from conifold_lab.errors import (
     BaseMismatch,
@@ -20,13 +20,12 @@ from conifold_lab.forms import (
     RHO_DEEP_LIMIT,
     CONE_METRIC,
     CONIFOLD_FLAT,
-    FUBINI_STUDY,
     OMEGA_HAT,
-    TAU,
     FormKind,
     HermitianForm,
     V,
     W,
+    _fibre_jacobian,
     calabi_family,
     compare_forms,
     eval_form,
@@ -36,6 +35,7 @@ from conifold_lab.forms import (
 )
 from conifold_lab.metricgeom import sample_domain
 from conifold_lab.profile import RHO_CLAMP, ProfileParams, eval_profile, eval_profiles
+from oracles import fubini_study_matrix, tau_matrix
 
 RNG = np.random.default_rng(4242)
 
@@ -66,7 +66,13 @@ def rotate_fibre(p: ResolvedPoint, unitary: np.ndarray) -> ResolvedPoint:
     return ResolvedPoint(z=p.z, xi1=complex(xi[0]), xi2=complex(xi[1]))
 
 
-ALL_KINDS = [FUBINI_STUDY, OMEGA_HAT, TAU, CONIFOLD_FLAT, CONE_METRIC, calabi_family(0.37)]
+ALL_KINDS = [OMEGA_HAT, CONIFOLD_FLAT, CONE_METRIC, calabi_family(0.37)]
+
+
+def restricted_tau(p):
+    """The tau oracle pulled back to the fibre, as ``restrict_to_fibre`` pulls back a kind."""
+    jac = _fibre_jacobian(p)
+    return jac.T @ tau_matrix(p) @ jac.conjugate()
 
 
 def stack(points):
@@ -108,7 +114,13 @@ class TestFormKind:
 
     def test_plain_kinds_reject_t(self):
         with pytest.raises(ValueError):
-            FormKind("Tau", 0.5)
+            FormKind("OmegaHat", 0.5)
+
+    def test_cone_is_the_t0_kind(self):
+        assert CONE_METRIC.t == 0.0
+        for t in (None, 0.5):
+            with pytest.raises(ValueError, match="ConeMetric is the t = 0 kind"):
+                FormKind("ConeMetric", t)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown form kind 'tau'"):
@@ -117,10 +129,13 @@ class TestFormKind:
 
 class TestEvalForm:
     def test_fubini_study_at_origin(self):
+        # the base term of OMEGA_HAT, which CONIFOLD_FLAT lacks
         for xi in [(1, 0), (0.3, 0.4j)]:
-            m = eval_form(FUBINI_STUDY, ResolvedPoint(0, *xi)).m
+            p = ResolvedPoint(0, *xi)
             want = np.zeros((3, 3), complex)
             want[0, 0] = 1.0
+            assert np.allclose(fubini_study_matrix(p), want, atol=1e-15)
+            m = eval_form(OMEGA_HAT, p).m - eval_form(CONIFOLD_FLAT, p).m
             assert np.allclose(m, want, atol=1e-15)
 
     def test_omega_hat_is_fs_plus_hessian(self):
@@ -130,7 +145,7 @@ class TestEvalForm:
             p = random_omega_point(rho_lo=-4.0)
             fd = complex_hessian(lambda q: np.exp(rho(q)), p, stencil).m
             lhs = eval_form(OMEGA_HAT, p).m
-            rhs = eval_form(FUBINI_STUDY, p).m + fd
+            rhs = fubini_study_matrix(p) + fd
             assert np.abs(lhs - rhs).max() <= 1e-8
 
     def test_family_contraction_equals_usecond(self):
@@ -157,17 +172,15 @@ class TestEvalForm:
             for kind in (OMEGA_HAT, CONIFOLD_FLAT, CONE_METRIC, calabi_family(0.37)):
                 ev = np.linalg.eigvalsh(eval_form(kind, p).m)
                 assert ev[0] > 0.0
-            # degenerate reference kinds: PSD with the expected rank
-            ev_fs = np.linalg.eigvalsh(eval_form(FUBINI_STUDY, p).m)
+            # the degenerate oracle forms: PSD with the expected rank
+            ev_fs = np.linalg.eigvalsh(fubini_study_matrix(p))
             assert ev_fs[0] >= -1e-15 and np.sum(ev_fs > 1e-13) == 1
-            ev_tau = np.linalg.eigvalsh(eval_form(TAU, p).m)
+            ev_tau = np.linalg.eigvalsh(tau_matrix(p))
             assert ev_tau[0] >= -1e-12 and np.sum(ev_tau > 1e-13) <= 2
 
     def test_zero_section_rules(self):
         p0 = ResolvedPoint(0.5, 0, 0)
-        eval_form(FUBINI_STUDY, p0)
         eval_form(OMEGA_HAT, p0)
-        eval_form(TAU, p0)
         eval_form(CONIFOLD_FLAT, p0)
         for kind in (CONE_METRIC, calabi_family(0.2)):
             with pytest.raises(OnZeroSection):
@@ -193,7 +206,7 @@ class TestEvalForms:
             warnings.simplefilter("always")
             got = eval_form(kind, stack(pts)).m
         clamps = [w for w in caught if w.category is RangeClampedWarning]
-        assert len(clamps) == (1 if kind.tag in ("CalabiFamily", "ConeMetric") else 0)
+        assert len(clamps) == (0 if kind.t is None else 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RangeClampedWarning)
             want = [eval_form(kind, p).m for p in pts]
@@ -251,7 +264,7 @@ class TestStackedHelpers:
                            (ResolvedPoint(1, 0, 0.5), InfiniteFibre)):
             pts = stack(good[:1] + [bad] + good[1:])
             with pytest.raises(error):
-                restrict_to_fibre(TAU, pts)
+                restrict_to_fibre(CONIFOLD_FLAT, pts)
             with pytest.raises(error):
                 fibrewise_trace_H(OMEGA_HAT, pts)
         pts = stack(good[:1] + [ResolvedPoint(1, 0, 0)] + good[1:])
@@ -262,14 +275,14 @@ class TestStackedHelpers:
         with pytest.raises(ValueError, match="unknown vector field 'U'"):
             vector_norm_sq(OMEGA_HAT, "U", pts)
         with pytest.raises(NotPositiveDefinite):
-            compare_forms(eval_form(OMEGA_HAT, pts), eval_form(TAU, pts))
+            compare_forms(eval_form(OMEGA_HAT, pts), HermitianForm(base=pts, m=tau_matrix(pts)))
         other = stack(good[:2] + SHELL[3:4])
         with pytest.raises(BaseMismatch):
             compare_forms(eval_form(OMEGA_HAT, pts), eval_form(OMEGA_HAT, other))
         # one degenerate reference lane among positive definite ones
         flat = eval_form(CONIFOLD_FLAT, pts)
         m = flat.m.copy()
-        m[1] = eval_form(TAU, good[1]).m
+        m[1] = tau_matrix(good[1])
         with pytest.raises(NotPositiveDefinite):
             compare_forms(eval_form(OMEGA_HAT, pts), HermitianForm(base=pts, m=m))
 
@@ -278,7 +291,7 @@ class TestRestriction:
     def test_tau_restricts_to_identity(self):
         for _ in range(25):
             p = random_omega_point()
-            m2 = restrict_to_fibre(TAU, p)
+            m2 = restricted_tau(p)
             assert np.abs(m2 - np.eye(2)).max() <= 1e-12
 
     def test_omega_hat_on_central_fibre(self):
@@ -292,39 +305,36 @@ class TestRestriction:
     def test_linearity(self):
         p = random_omega_point()
         a = restrict_to_fibre(OMEGA_HAT, p)
-        b = restrict_to_fibre(TAU, p)
+        b = restricted_tau(p)
         # restriction of the pointwise sum equals the sum of restrictions
-        from conifold_lab.forms import _fibre_jacobian
-
         jac = _fibre_jacobian(p)
-        summed = eval_form(OMEGA_HAT, p).m + eval_form(TAU, p).m
+        summed = eval_form(OMEGA_HAT, p).m + tau_matrix(p)
         direct = jac.T @ summed @ jac.conjugate()
         assert np.abs(direct - (a + b)).max() <= 1e-12 * max(1.0, np.abs(direct).max())
 
     def test_errors(self):
         with pytest.raises(OnZeroSection):
-            restrict_to_fibre(TAU, ResolvedPoint(1, 0, 0))
+            restrict_to_fibre(CONIFOLD_FLAT, ResolvedPoint(1, 0, 0))
         with pytest.raises(InfiniteFibre):
-            restrict_to_fibre(TAU, ResolvedPoint(1, 0, 0.5))
+            restrict_to_fibre(CONIFOLD_FLAT, ResolvedPoint(1, 0, 0.5))
 
 
 class TestFibrewiseTrace:
     def test_tau_trace_two(self):
         for _ in range(10):
-            assert fibrewise_trace_H(TAU, random_omega_point()) == pytest.approx(
-                2.0, abs=1e-12
-            )
+            trace = np.trace(restricted_tau(random_omega_point())).real
+            assert trace == pytest.approx(2.0, abs=1e-12)
 
     def test_omega_hat_trace_formula(self):
         p = ResolvedPoint(0, 0.5, 0)
-        want = 2.0 + math.exp(-rho_alpha(p, 1))
+        want = 2.0 + math.exp(-rho_1(p))
         assert fibrewise_trace_H(OMEGA_HAT, p) == pytest.approx(want, rel=1e-12)
 
     def test_omega_hat_trace_bound(self):
         # restriction sandwich gives trace <= 4 e^{-rho_1} on Omega
         for _ in range(200):
             p = random_omega_point()
-            val = math.exp(rho_alpha(p, 1)) * fibrewise_trace_H(OMEGA_HAT, p)
+            val = math.exp(rho_1(p)) * fibrewise_trace_H(OMEGA_HAT, p)
             assert val <= 4.0 + 1e-9
 
 
@@ -339,7 +349,7 @@ class TestFamilyTraceBound:
             for _ in range(150):
                 p = random_omega_point()
                 sup = max(
-                    sup, math.exp(rho_alpha(p, 1)) * fibrewise_trace_H(kind, p)
+                    sup, math.exp(rho_1(p)) * fibrewise_trace_H(kind, p)
                 )
             sups[t] = sup
         assert all(math.isfinite(v) for v in sups.values())
@@ -352,7 +362,7 @@ class TestFibreSandwich:
         for _ in range(300):
             p = random_omega_point()
             m2 = restrict_to_fibre(OMEGA_HAT, p)
-            e_r1 = math.exp(rho_alpha(p, 1))
+            e_r1 = math.exp(rho_1(p))
             lower = np.linalg.eigvalsh(m2 - np.eye(2))[0]
             upper = np.linalg.eigvalsh((2.0 / e_r1) * np.eye(2) - m2)[0]
             assert lower >= -1e-10
@@ -468,7 +478,7 @@ class TestCompareForms:
     def test_degenerate_reference_rejected(self):
         p = random_omega_point()
         with pytest.raises(NotPositiveDefinite):
-            compare_forms(eval_form(OMEGA_HAT, p), eval_form(TAU, p))
+            compare_forms(eval_form(OMEGA_HAT, p), HermitianForm(base=p, m=tau_matrix(p)))
 
     def test_tangential_sandwich_sample(self):
         # lmin bounded below, lmax * e^rho bounded above, per the family bounds

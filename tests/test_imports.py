@@ -18,8 +18,8 @@ Unread names: the package ships only what an experiment or the harness
 reaches.  Every top-level def, class or assignment in a package module must
 be read by some package module outside its own definition, or be reached by
 ``bench/``.  A name that only its own tests call fails here; it comes back
-with its first caller.  ``UNREAD_KEPT`` lists the exceptions, each with its
-reason.
+with its first caller.  There are no exceptions: a test-only oracle lives in
+``tests/oracles.py``.
 """
 
 import ast
@@ -33,10 +33,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "conifold_lab"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(p.name for p in (ROOT / "tests").glob("*.py"))
-
-#: ``forms._matrix`` builds these catalogue kinds by tag, and the tests use
-#: them as fixtures; nothing else reads them.
-UNREAD_KEPT = {"forms.FUBINI_STUDY", "forms.TAU"}
 
 
 def imports(source: str):
@@ -219,14 +215,14 @@ def definitions(statement: ast.stmt) -> list[str]:
     return []
 
 
-def unread_names(sources: dict[str, str], bench: set[tuple[str, str]], kept: set[str]) -> list[str]:
+def unread_names(sources: dict[str, str], bench: set[tuple[str, str]]) -> list[str]:
     """``module.name`` of each top-level name that no module reads and bench/ does not reach.
 
     ``sources`` maps each module's name (``__init__`` for the package) to its
     text, and ``bench`` holds (module, name) pairs.  A module reads its own
     names by their bare name outside their definition, and another module's
     through ``from .module import name`` or ``from . import module`` and
-    ``module.name``.  Names in ``kept`` are not reported.
+    ``module.name``.
     """
     defined, read = [], set()
     for module, source in sources.items():
@@ -244,15 +240,13 @@ def unread_names(sources: dict[str, str], bench: set[tuple[str, str]], kept: set
                     if owner == "__init__":  # ``from . import module``, then ``module.name``
                         read.add((name, node.attr))
     read |= bench
-    return [f"{module}.{name}" for module, name in defined
-            if (module, name) not in read and f"{module}.{name}" not in kept]
+    return [f"{module}.{name}" for module, name in defined if (module, name) not in read]
 
 
 def test_every_name_is_read_or_reached():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     bench = {(module.partition(".")[2] or "__init__", name) for module, name in bench_reached()}
-    assert unread_names(sources, bench, UNREAD_KEPT) == []
-    assert unread_names(sources, bench, set()) == sorted(UNREAD_KEPT)  # no stale exception
+    assert unread_names(sources, bench) == []
 
 
 def test_unread_check_flags_what_it_should():
@@ -261,7 +255,6 @@ def test_unread_check_flags_what_it_should():
         "a": (
             "from . import b\n"
             "from .b import used\n"
-            "KEPT = 1\n"
             "BENCH_ONLY = 2\n"
             "helper = 3\n"
             "def own_only(n):\n"
@@ -281,4 +274,4 @@ def test_unread_check_flags_what_it_should():
             "        return Lonely\n"  # reads itself only
         ),
     }
-    assert unread_names(sources, {("a", "BENCH_ONLY")}, {"a.KEPT"}) == ["a.own_only", "b.Lonely"]
+    assert unread_names(sources, {("a", "BENCH_ONLY")}) == ["a.own_only", "b.Lonely"]

@@ -19,14 +19,12 @@ import scipy.spatial.distance
 import scipy.stats.qmc
 
 from conifold_lab import forms, metricgeom
-from conifold_lab.chart import OMEGA, ResolvedPoint, contract, omega_r, rho, second_chart
+from conifold_lab.chart import OMEGA, DomainSpec, ResolvedPoint, contract, rho, second_chart
 from conifold_lab.errors import DegenerateMetric, NonFinite, OnZeroSection
 from conifold_lab.forms import (
     CONE_METRIC,
     CONIFOLD_FLAT,
-    FUBINI_STUDY,
     OMEGA_HAT,
-    TAU,
     calabi_family,
     eval_form,
 )
@@ -280,7 +278,7 @@ class TestSampling:
         assert (r >= -20.0 - 1e-9).all()
 
     def test_omega_r_respected(self):
-        d = omega_r(0.05)
+        d = DomainSpec(0.05)
         assert (rho(sample_domain(d, 100, seed=4)) <= d.rho_max() + 1e-12).all()
 
     @pytest.mark.parametrize("n", [0, -3])
@@ -305,7 +303,7 @@ class TestSampling:
     @pytest.mark.parametrize(
         "domain, n, seed, depth",
         [(OMEGA, 2000, 42, 20.0), (OMEGA, 10_000, 1003, 20.0), (OMEGA, 64, 42, 5.0),
-         (omega_r(0.005), 300, 17, 20.0), (OMEGA, 1, 0, 20.0)],
+         (DomainSpec(0.005), 300, 17, 20.0), (OMEGA, 1, 0, 20.0)],
     )
     def test_equals_per_point_construction(self, domain, n, seed, depth):
         got = sample_domain(domain, n, seed, rho_depth=depth)
@@ -370,7 +368,7 @@ class TestCloud:
 
     def test_shared_clouds_equal_clouds_built_alone(self):
         # one sample and structure weighted per kind: no kind's weights leak into another's
-        d, n, k, seed = omega_r(0.05), 300, 8, 17
+        d, n, k, seed = DomainSpec(0.05), 300, 8, 17
         kinds = [calabi_family(t) for t in (1e-2, 1e-3, 1e-4)] + [CONE_METRIC]
         structure = cloud_structure(d, n, k, seed)
         pts = sample_domain(d, n, seed)
@@ -388,7 +386,7 @@ class TestCloud:
     def test_degenerate_domain_rejected(self):
         # a domain so deep the family metric cannot be evaluated on it
         with pytest.raises(DegenerateMetric):
-            build_cloud(omega_r(1e-160), calabi_family(0.5), n=30, graph_k=5, seed=2)
+            build_cloud(DomainSpec(1e-160), calabi_family(0.5), n=30, graph_k=5, seed=2)
 
     def test_family_diameter_bounded_over_t(self):
         diams = []
@@ -399,10 +397,10 @@ class TestCloud:
 
 
 def _cloud_diameter_cases():
-    domains = [("omega", OMEGA), ("delta0.05", omega_r(0.05)), ("delta0.005", omega_r(0.005))]
+    domains = [("omega", OMEGA), ("delta0.05", DomainSpec(0.05)), ("delta0.005", DomainSpec(0.005))]
     cases = [(name, d, n, k) for name, d in domains for n in (10, 120, 500) for k in (4, 12)]
     # the full n=2000 matrix costs ~1 s per kind; keep the GH default and the deep, sparse end
-    cases += [("omega", OMEGA, 2000, 12), ("delta0.005", omega_r(0.005), 2000, 4)]
+    cases += [("omega", OMEGA, 2000, 12), ("delta0.005", DomainSpec(0.005), 2000, 4)]
     return [pytest.param(d, n, k, id=f"{name}-n{n}-k{k}") for name, d, n, k in cases]
 
 
@@ -423,7 +421,7 @@ class TestCloudDiameter:
     @pytest.mark.parametrize("delta", [0.05, 0.02, 0.01, 0.005])
     def test_equals_full_matrix_maximum_on_sweep_clouds(self, delta, t):
         # the clouds of the estimates sweep at its defaults
-        graph = build_cloud(omega_r(delta), calabi_family(t), n=500, graph_k=12, seed=42)
+        graph = build_cloud(DomainSpec(delta), calabi_family(t), n=500, graph_k=12, seed=42)
         assert cloud_diameter(graph) == _all_pairs(graph).max()
 
     @pytest.mark.parametrize("domain, n, k", _cloud_diameter_cases())
@@ -445,7 +443,7 @@ class TestCloudDiameter:
             rows.append(graph.shape[0] if sources is None else len(sources))
             return _all_pairs(graph, sources)
 
-        graph = build_cloud(omega_r(0.01), calabi_family(1e-3), n=500, graph_k=12, seed=42)
+        graph = build_cloud(DomainSpec(0.01), calabi_family(1e-3), n=500, graph_k=12, seed=42)
         monkeypatch.setattr(metricgeom, "_all_pairs", counting)
         diam = cloud_diameter(graph)
         assert sum(rows) < 500 / 4
@@ -458,7 +456,7 @@ class TestCloudDiameter:
         # 42, so that cloud is not counted.  The rows are 139 + 186 + 137 = 462
         kinds = [calabi_family(t) for t in (1e-2, 1e-3, 1e-4)]
         graphs = [
-            cloud_structure(omega_r(delta), n=500, graph_k=12, seed=42).weigh(kind)
+            cloud_structure(DomainSpec(delta), n=500, graph_k=12, seed=42).weigh(kind)
             for delta, count in ((0.05, 3), (0.02, 3), (0.01, 2))
             for kind in kinds[:count]
         ]
@@ -483,7 +481,7 @@ class TestGraph:
     @pytest.mark.parametrize(
         "domain, n, seed, k",
         [(OMEGA, 120, 5, 6), (OMEGA, 120, 5, 12), (OMEGA, 700, 23, 10),
-         (omega_r(0.005), 300, 17, 8), (OMEGA, 400, 0, 4), (OMEGA, 800, 8, 4)],
+         (DomainSpec(0.005), 300, 17, 8), (OMEGA, 400, 0, 4), (OMEGA, 800, 8, 4)],
     )
     def test_edges_match_set_oracle(self, domain, n, seed, k):
         pts = sample_domain(domain, n, seed)
@@ -491,8 +489,8 @@ class TestGraph:
 
     @pytest.mark.parametrize(
         "domain, n, seed, k",
-        [(OMEGA, 10, 1, 4), (OMEGA, 120, 5, 6), (omega_r(0.01), 500, 42, 12),
-         (omega_r(0.005), 300, 17, 8), (OMEGA, 2000, 42, 12)],
+        [(OMEGA, 10, 1, 4), (OMEGA, 120, 5, 6), (DomainSpec(0.01), 500, 42, 12),
+         (DomainSpec(0.005), 300, 17, 8), (OMEGA, 2000, 42, 12)],
     )
     def test_key_ordered_csr_matches_lexsort_oracle(self, domain, n, seed, k):
         structure = cloud_structure(domain, n, k, seed)
@@ -521,15 +519,14 @@ class TestGraph:
 
     @pytest.mark.parametrize(
         "kind",
-        [FUBINI_STUDY, OMEGA_HAT, TAU, CONIFOLD_FLAT, calabi_family(1.0), calabi_family(0.01),
-         CONE_METRIC],
+        [OMEGA_HAT, CONIFOLD_FLAT, calabi_family(1.0), calabi_family(0.01), CONE_METRIC],
         ids=lambda kind: f"{kind.tag}-{kind.t}",
     )
     def test_weights_match_per_edge_oracle(self, kind):
         pts = sample_domain(OMEGA, 200, seed=3)
         edges = _graph_edges(pts, graph_k=8)
         frame = _edge_frame(pts, edges)
-        if kind in (FUBINI_STUDY, OMEGA_HAT, TAU, CONIFOLD_FLAT):  # no graph is weighed under these
+        if kind.t is None:  # no graph is weighed under a kind without a profile
             with pytest.raises(ValueError):
                 _edge_weights(kind, frame)
             return
@@ -569,7 +566,7 @@ class TestGraph:
     def test_weighing_builds_no_form_matrix(self, monkeypatch):
         # graphs are weighed in the edge coframe: no 3x3 form matrix and one
         # profile solve per kind
-        structure = cloud_structure(omega_r(0.05), 500, 12, 42)
+        structure = cloud_structure(DomainSpec(0.05), 500, 12, 42)
         kinds = [CONE_METRIC] + [calabi_family(t) for t in (1.0, 1e-2, 1e-4)]
         want = [structure.weigh(kind) for kind in kinds]
         calls = []
@@ -582,10 +579,11 @@ class TestGraph:
         def no_matrix(*args):
             raise AssertionError("a graph weight built a form matrix")
 
-        # _matrix is the builder behind eval_form
-        monkeypatch.setattr(forms, "_matrix", no_matrix)
+        # the two builders behind eval_form
+        monkeypatch.setattr(forms, "_family_matrix", no_matrix)
+        monkeypatch.setattr(forms, "_hessian_exp_rho", no_matrix)
         monkeypatch.setattr(metricgeom, "eval_profiles", counting)
-        structure = cloud_structure(omega_r(0.05), 500, 12, 42)
+        structure = cloud_structure(DomainSpec(0.05), 500, 12, 42)
         for graph, expected in zip(map(structure.weigh, kinds), want):
             for attr in ("data", "indices", "indptr"):
                 assert getattr(graph, attr).tobytes() == getattr(expected, attr).tobytes()
@@ -593,7 +591,7 @@ class TestGraph:
 
 
 class TestBackbone:
-    @pytest.mark.parametrize("domain", [OMEGA, omega_r(0.05)], ids=["Omega", "Omega_0.05"])
+    @pytest.mark.parametrize("domain", [OMEGA, DomainSpec(0.05)], ids=["Omega", "Omega_0.05"])
     @pytest.mark.parametrize("n", [50, 400, 2000])
     def test_matches_dense_emst(self, domain, n):
         emb = embedding(sample_domain(domain, n, seed=n))
@@ -875,6 +873,6 @@ class TestOmegaDeltaShrinking:
     def test_small_neighbourhood_small_diameter(self):
         # explicit (delta, t) with sampled diameter below 0.2
         delta, t = 0.005, 1e-4
-        graph = build_cloud(omega_r(delta), calabi_family(t), n=300, graph_k=8, seed=17)
+        graph = build_cloud(DomainSpec(delta), calabi_family(t), n=300, graph_k=8, seed=17)
         diam = cloud_diameter(graph) + 2 * radial_stub(t, 2 * math.log(delta) - 20.0)
         assert diam < 0.2

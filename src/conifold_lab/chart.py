@@ -93,34 +93,13 @@ def contract(p: ResolvedPoint) -> tuple[complex, complex, complex, complex]:
     return (p.xi1, p.xi2, p.z * p.xi1, p.z * p.xi2)
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
 def second_chart(p: ResolvedPoint) -> ResolvedPoint:
     """Transition to the chart covering z = inf: (1/z, z*xi1, z*xi2).
 
     Involutive on its domain and preserves e^rho; only used when sampling
     near the far pole of the base.  Lane-wise on a stacked point, which
-    raises if any lane has z = 0.  A single point is taken in Python complex
-    numbers, numpy scalars included; the stacked path spells out CPython's
-    complex product and Smith quotient in real arithmetic, so each lane
-    equals its point's transition bit for bit (numpy's complex product fuses
-    into FMA; its quotient takes a reciprocal).
+    raises if any lane has z = 0.
     """
     if np.any(p.z == 0):
         raise ValueError("second chart undefined at z = 0")
-    if not isinstance(p.z, np.ndarray):
-        z, xi1, xi2 = complex(p.z), complex(p.xi1), complex(p.xi2)
-        return ResolvedPoint(z=1.0 / z, xi1=z * xi1, xi2=z * xi2)
-    re, im = p.z.real, p.z.imag
-    xi = [_complex(re * x.real - im * x.imag, re * x.imag + im * x.real) for x in (p.xi1, p.xi2)]
-    wide = np.abs(re) >= np.abs(im)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(wide, im / re, re / im)
-    denom = np.where(wide, re + im * ratio, re * ratio + im)
-    # "+ 0.0" and "0.0 -" give a zero ratio CPython's sign (real or imaginary z)
-    z = _complex(np.where(wide, 1.0, ratio + 0.0) / denom, np.where(wide, 0.0 - ratio, -1.0) / denom)
-    return ResolvedPoint(z, *xi)
+    return ResolvedPoint(1.0 / p.z, p.z * p.xi1, p.z * p.xi2)

@@ -86,7 +86,7 @@ import scipy.sparse.csgraph
 import scipy.spatial
 import scipy.special
 
-from .chart import OMEGA, DomainSpec, ResolvedPoint, _complex, contract, rho, second_chart
+from .chart import OMEGA, DomainSpec, ResolvedPoint, contract, rho, second_chart
 from .errors import DegenerateMetric, OnZeroSection
 from .forms import CONE_METRIC, RHO_DEEP_LIMIT, FormKind, calabi_family
 from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it by name)
@@ -224,12 +224,6 @@ def sample_domain(d: DomainSpec, n: int, seed: int, rho_depth: float = RHO_DEPTH
     through the chart transition, so every returned point lives in the
     canonical chart with |z| <= 1 (well away from the coordinate singularity
     at z = inf).
-
-    The points are built in real arithmetic that equals, bit for bit, the
-    same construction one point at a time in Python complex numbers: the
-    fibre scale takes ``math.exp`` (``np.exp`` differs in the last bit on a
-    few percent of inputs), and the chart transition is ``second_chart``'s
-    stacked path, which is exact.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -249,15 +243,10 @@ def sample_domain(d: DomainSpec, n: int, seed: int, rho_depth: float = RHO_DEPTH
     rhos[n_bulk + n_ring :] = lo
 
     zmod = np.sqrt((1.0 - u[:, 1]) / u[:, 1])
-    angle = 2.0 * math.pi * u[:, [2, 4, 5]].T
-    cos, sin = np.cos(angle), np.sin(angle)
-    scale = np.fromiter(map(math.exp, (0.5 * rhos).tolist()), float, n)
-    scale /= np.sqrt(1.0 + zmod * zmod)
-    a, b = np.sqrt(u[:, 3]), np.sqrt(1.0 - u[:, 3])
-    z_re, z_im = zmod * cos[0], zmod * sin[0]
-    xi = [scale * (a * cos[1]), scale * (a * sin[1]), scale * (b * cos[2]), scale * (b * sin[2])]
-
-    p = ResolvedPoint(_complex(z_re, z_im), _complex(*xi[:2]), _complex(*xi[2:]))
+    phase = np.exp(2j * math.pi * u[:, [2, 4, 5]].T)
+    scale = np.exp(0.5 * rhos) / np.sqrt(1.0 + zmod * zmod)
+    p = ResolvedPoint(zmod * phase[0], scale * np.sqrt(u[:, 3]) * phase[1],
+                      scale * np.sqrt(1.0 - u[:, 3]) * phase[2])
     far = zmod > 1.0
     q = second_chart(p[far])
     p.z[far], p.xi1[far], p.xi2[far] = q.z, q.xi1, q.xi2

@@ -418,8 +418,6 @@ class TestCompareForms:
     def test_scaling(self):
         p = random_omega_point()
         a = eval_form(OMEGA_HAT, p)
-        from conifold_lab.forms import HermitianForm
-
         doubled = HermitianForm(base=p, m=2.0 * a.m)
         lmin, lmax = compare_forms(doubled, a)
         assert lmin == pytest.approx(2.0, rel=1e-10)

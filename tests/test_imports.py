@@ -14,6 +14,11 @@ The other way round, every package name that ``bench/`` reaches must exist,
 so that deleting a name only the harness uses fails here and not first under
 ``bench/run.py --trace 1``.
 
+Rebound imports: no module imports a name twice.  A ``from`` import or an
+``as`` alias that binds a name an earlier import in the same module bound
+fails, in a function body too.  Plain ``import scipy.a`` and
+``import scipy.b`` may both bind ``scipy``.
+
 Unread names: the package ships only what an experiment or the harness
 reaches.  Every top-level def, class or assignment in a package module must
 be read by some package module outside its own definition, or be reached by
@@ -59,6 +64,25 @@ def unused_imports(source: str) -> list[str]:
             for name in names if name not in used]
 
 
+def rebound_imports(source: str) -> list[str]:
+    """``line: name`` of each import that binds a name an earlier import in the source bound.
+
+    Only distinct plain ``import a.b`` paths may share their top-level name.
+    """
+    nodes = sorted((n for n in ast.walk(ast.parse(source)) if isinstance(n, (ast.Import, ast.ImportFrom))),
+                   key=lambda n: (n.lineno, n.col_offset))
+    bound, rebound = {}, []
+    for node in nodes:
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            path = alias.name if isinstance(node, ast.Import) and alias.asname is None else None
+            earlier = bound.setdefault(name, [])
+            if any(path is None or p is None or p == path for p in earlier):
+                rebound.append(f"{node.lineno}: {name}")
+            earlier.append(path)
+    return rebound
+
+
 def stale_bench_markers(source: str) -> list[str]:
     """``line: name`` of each import kept for bench/ that the source reads after all."""
     used = read_names(source)
@@ -98,6 +122,29 @@ def test_check_flags_what_it_should():
         "    return np.pi + os.path.sep\n"
     )
     assert unused_imports(source) == ["2: math", "6: c"]
+
+
+@pytest.mark.parametrize("path", [SRC / m for m in MODULES] + [ROOT / "tests" / t for t in TESTS],
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_rebound_imports(path):
+    assert rebound_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_rebind_check_flags_what_it_should():
+    source = (
+        "import scipy.sparse\n"
+        "import scipy.sparse.csgraph\n"
+        "import numpy as np\n"
+        "from .forms import HermitianForm, eval_form\n"
+        "def f():\n"
+        "    from .forms import HermitianForm\n"
+        "    import numpy as np\n"
+        "    import scipy.sparse\n"
+        "    from .chart import rho as eval_form\n"
+        "    import scipy\n"
+        "    return np, HermitianForm, eval_form, scipy\n"
+    )
+    assert rebound_imports(source) == ["6: HermitianForm", "7: np", "8: scipy", "9: eval_form"]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -1,4 +1,4 @@
-"""Stored bits of the pointwise results: profile, Ricci form, form comparison.
+"""Stored bits: profile, Ricci form, form comparison and domain samples.
 
 The suite's other checks compare reruns with each other or values with
 tolerances; these compare with ``float.hex`` values stored here, so a change
@@ -9,9 +9,13 @@ recaptured, not loosened.  To recapture, run this file as a script
 (``PYTHONPATH=src python tests/test_pinned_bits.py``): it prints every
 stored table and digest as the current code computes it.
 
-The digests extend the pins from a few chosen points to about 20,000
-drawn ones: each is the SHA-256 of the ``float.hex`` strings of (u', u'')
-at every input, so one changed rounding anywhere in the sample fails.
+The profile digests extend the pins from a few chosen points to about
+20,000 drawn ones: each is the SHA-256 of the ``float.hex`` strings of
+(u', u'') at every input, so one changed rounding anywhere in the sample
+fails.
+The sample digests pin two domain samples the same way, over the real and
+imaginary parts of every coordinate: a changed sample bit moves every report
+built on the sample at rounding level, and fails here first.
 """
 
 import hashlib
@@ -19,9 +23,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from conifold_lab.chart import ResolvedPoint
+from conifold_lab.chart import DomainSpec, ResolvedPoint
 from conifold_lab.curvature import StencilSpec, ricci_form
 from conifold_lab.forms import CONIFOLD_FLAT, calabi_family, compare_forms, eval_form
+from conifold_lab.metricgeom import sample_domain
 from conifold_lab.profile import RHO_CLAMP, ProfileParams, eval_profile, eval_profiles
 
 # (t, rho) -> (u', u'') from the scalar solve
@@ -106,6 +111,13 @@ DIGEST_T = (0.0, 1e-06, 0.001, 0.1, 1.0)
 PROFILE_DIGEST = "d5921ada9974b44b89b30e355cc27f32ab9f19333cb6653001307516ffabfeff"
 PROFILES_DIGEST = "81a08d2208671c2a03c0f161e1da0081f2aa48fc657aafc191e365522aded6f8"
 
+# (r, n, seed) -> SHA-256 of the hex strings of (z, xi1, xi2), real and
+# imaginary parts, at every point of sample_domain(DomainSpec(r), n, seed)
+SAMPLE_DIGESTS = {
+    (0.05, 500, 42): "8cad550d86f84069c7730caed100496e9720af53b5bd1d314a3ecf98da8b66b9",
+    (1.0, 2000, 42): "61b01a542fb288f1bcd7a2245f4b4690cf92cdc7b14c27ab24055a8b6d98f20e",
+}
+
 
 def _bits(x: float) -> str:
     return float(x).hex()
@@ -147,6 +159,12 @@ def _profiles_digest(rho: np.ndarray) -> str:
     return _digest(lines)
 
 
+def _sample_digest(r: float, n: int, seed: int) -> str:
+    p = sample_domain(DomainSpec(r), n, seed)
+    return _digest(" ".join(_bits(x) for c in (p.z[i], p.xi1[i], p.xi2[i]) for x in (c.real, c.imag))
+                   for i in range(n))
+
+
 @pytest.mark.parametrize("t, r", sorted(PROFILE_BITS))
 def test_scalar_profile_bits(t, r):
     prof = eval_profile(ProfileParams(t), r)
@@ -157,6 +175,11 @@ def test_profile_digests():
     pairs, rho = _digest_inputs()
     assert _profile_digest(pairs) == PROFILE_DIGEST
     assert _profiles_digest(rho) == PROFILES_DIGEST
+
+
+@pytest.mark.parametrize("r, n, seed", sorted(SAMPLE_DIGESTS))
+def test_sample_digests(r, n, seed):
+    assert _sample_digest(r, n, seed) == SAMPLE_DIGESTS[r, n, seed]
 
 
 @pytest.mark.parametrize("t, p, entries", RICCI_BITS)
@@ -198,6 +221,10 @@ def _print_tables() -> None:
     pairs, rho = _digest_inputs()
     print(f'}}\n\nPROFILE_DIGEST = "{_profile_digest(pairs)}"')
     print(f'PROFILES_DIGEST = "{_profiles_digest(rho)}"')
+    print("\nSAMPLE_DIGESTS = {")
+    for key in sorted(SAMPLE_DIGESTS):
+        print(f'    {key!r}: "{_sample_digest(*key)}",')
+    print("}")
 
 
 if __name__ == "__main__":

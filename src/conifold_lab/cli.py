@@ -252,27 +252,15 @@ def _estimates_for_t(t: float, sub: ResolvedPoint) -> dict:
 _OMEGA_DELTAS = (0.05, 0.02, 0.01, 0.005)
 
 
-def _omega_delta_diameters(cfg: ExperimentConfig, delta: float) -> list[tuple[float, float]]:
-    """(t, sampled diameter of Omega_delta) in t order, up to the first below omega_delta_eps.
+def _omega_delta_diameter(omega: metricgeom.CloudStructure, delta: float, t: float) -> float:
+    """Sampled diameter of Omega_delta under the t-metric, on the Omega cloud dilated onto it.
 
-    One sample and graph structure of Omega_delta.  Each t weighs it only
-    when its diameter is taken, so the t after the first small diameter are
-    never weighed.  Each diameter adds the closed-form radial stub below the
-    sampling floor twice.
+    Adds the closed-form radial stub below the sampling floor twice.
     """
-    eps = DEFAULT_TOLERANCES["omega_delta_eps"]
-    t_small = (min(cfg.t_grid), min(cfg.t_grid) / 10.0, min(cfg.t_grid) / 100.0)
     domain = DomainSpec(delta)
-    structure = metricgeom.cloud_structure(domain, max(300, cfg.n_samples // 4), cfg.graph_k, cfg.seed)
-    out = []
-    for t in t_small:
-        graph = structure.weigh(forms.calabi_family(t))
-        diam = metricgeom.cloud_diameter(graph) + 2.0 * metricgeom.radial_stub(
-            t, domain.rho_max() - metricgeom.RHO_DEPTH)
-        out.append((t, diam))
-        if diam < eps:
-            break
-    return out
+    graph = omega.dilate(domain).weigh(forms.calabi_family(t))
+    return metricgeom.cloud_diameter(graph) + 2.0 * metricgeom.radial_stub(
+        t, domain.rho_max() - metricgeom.RHO_DEPTH)
 
 
 def _pointwise_estimates(cfg: ExperimentConfig):
@@ -320,26 +308,29 @@ def _pointwise_estimates(cfg: ExperimentConfig):
 
 
 def _exp_estimates(cfg: ExperimentConfig):
-    """The estimate sweep; the Omega_delta clouds run on ``metricgeom._fork_map``.
+    """The estimate sweep; its (delta, t) diameters run on ``metricgeom._fork_map``.
 
-    The clouds of every delta are measured while this process computes the
-    pointwise estimates.  They are read in delta order up to the first
-    (delta, t) whose sampled diameter is below omega_delta_eps, as a serial
-    loop would stop.  A worker's error surfaces only when its delta is read,
-    so the errors raised are the serial loop's.
+    The fibre dilation xi -> delta xi carries Omega onto Omega_delta, so one
+    ``cloud_structure`` of Omega, built before the fork, serves every delta
+    (``CloudStructure.dilate``).  Each item is one (delta, t) diameter,
+    delta-major, and the items are measured while this process computes the
+    pointwise estimates.  They are read in that order up to the first whose
+    sampled diameter is below omega_delta_eps, which ends both the t loop
+    and the delta loop of the serial sweep.  An item's error surfaces only
+    when it is read, so the errors raised are the serial loop's.
     """
     eps = DEFAULT_TOLERANCES["omega_delta_eps"]
+    t_small = (min(cfg.t_grid), min(cfg.t_grid) / 10.0, min(cfg.t_grid) / 100.0)
+    items = [(delta, t) for delta in _OMEGA_DELTAS for t in t_small]
+    omega = metricgeom.cloud_structure(OMEGA, max(300, cfg.n_samples // 4), cfg.graph_k, cfg.seed)
     found = None
     best_diam = math.inf
-    with metricgeom._fork_map(lambda delta: _omega_delta_diameters(cfg, delta),
-                              _OMEGA_DELTAS) as swept:
+    with metricgeom._fork_map(lambda item: _omega_delta_diameter(omega, *item), items) as swept:
         rows, asserts = _pointwise_estimates(cfg)
         # shrinking small neighbourhoods: find (delta, t) with sampled diameter < eps
-        for delta, measured in zip(_OMEGA_DELTAS, swept):
-            for t, diam in measured:
-                rows.append(_estimate_row(t=t, delta=delta, omega_delta_diameter=diam))
-                best_diam = min(best_diam, diam)
-            t, diam = measured[-1]
+        for (delta, t), diam in zip(items, swept):
+            rows.append(_estimate_row(t=t, delta=delta, omega_delta_diameter=diam))
+            best_diam = min(best_diam, diam)
             if diam < eps:
                 found = (delta, t, diam)
                 break

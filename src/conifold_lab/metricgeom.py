@@ -31,7 +31,10 @@ structure whose arcs are sorted by the same key, row * n + col.
 once per (domain, n, k, seed); ``CloudStructure.weigh`` returns the
 weighted graph of one metric kind, a ``scipy.sparse.csr_matrix``, when a
 caller asks, so the CLI's ``estimates`` sweep never weighs a t after its
-first small diameter.  ``gh_upper_bounds`` maps the weigher over the cone
+first small diameter.  ``CloudStructure.dilate`` carries a structure of
+Omega onto Omega_delta by the fibre dilation xi -> delta xi, which moves
+only the edges' rho, so that sweep builds one structure for all four
+deltas.  ``gh_upper_bounds`` maps the weigher over the cone
 and each t; ``build_cloud`` weighs one kind of a fresh structure.  A graph
 is the only cloud type: the structure keeps the edge frame and the arc
 arrays but not the points, and no distance matrix is held.  Dijkstra rows
@@ -56,8 +59,9 @@ each chunk is reduced to its per-t maxima of the discrepancy, so memory
 grows as O(chunk * n) rather than O(n^2).  The parent takes the maximum
 over chunks, which does not depend on how the rows are grouped.
 
-``_fork_map`` is the one fork helper, shared by ``gh_upper_bounds`` and
-the CLI's ``estimates`` sweep; its docstring states its contract.
+``_fork_map`` is the one fork helper, shared by ``gh_upper_bounds`` (one
+item per chunk of source rows) and the CLI's ``estimates`` sweep (one item
+per (delta, t) diameter); its docstring states its contract.
 
 Sampling is stratified and quasi-random: uniform in rho down to a fixed
 depth below the domain top, uniform in the base and fibre phases, plus a
@@ -78,7 +82,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -193,11 +197,13 @@ def zero_section_diameter(t: float) -> float:
 
 
 def _halton(n: int, seed: int) -> np.ndarray:
-    """n scrambled Halton points in [0, 1)^6 (Owen 2017, arXiv:1706.02808).
+    """n >= 1 scrambled Halton points in [0, 1)^6 (Owen 2017, arXiv:1706.02808).
 
     Equal bit for bit to ``scipy.stats.qmc.Halton(d=6, scramble=True,
     seed=seed).random(n)``: the same digit permutations drawn in the same
     order, and the same sum ``acc += perm[digit] * inv`` with ``inv /= base``.
+    Once the largest index k[-1] has no digits left, every digit is 0 and
+    the step adds the one value perm[0] * inv, without ``divmod`` or gather.
     """
     rng = np.random.default_rng(seed)
     out = np.empty((n, 6))
@@ -207,8 +213,11 @@ def _halton(n: int, seed: int) -> np.ndarray:
             rng.shuffle(perm)
         k, acc, inv = np.arange(n), np.zeros(n), 1.0 / base
         for perm in perms:
-            k, digit = np.divmod(k, base)
-            acc += perm[digit] * inv
+            if k[-1]:
+                k, digit = np.divmod(k, base)
+                acc += perm[digit] * inv
+            else:
+                acc += perm[0] * inv
             inv /= base
         out[:, col] = acc
     return out
@@ -413,6 +422,19 @@ class CloudStructure:
         data = _edge_weights(kind, self.frame)[self.perm]
         return scipy.sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
+    def dilate(self, d: DomainSpec) -> CloudStructure:
+        """This structure of Omega carried onto the domain d by the fibre dilation xi -> d.r xi.
+
+        The dilation maps Omega onto d and adds 2 log d.r = ``d.rho_max()``
+        to rho.  It fixes z, scales the contraction embedding by d.r and
+        preserves the coframe norms b, a and r, so the edges, the CSR arrays
+        and the norms are kept and only the midpoint rho moves.  Up to rounding this is
+        ``cloud_structure(d, ...)`` with the same n, k and seed: the sampled
+        points differ by a few ulps, the edge sets agree on the estimates
+        sweep's clouds and b is equal bit for bit (the tests hold them to it).
+        """
+        return replace(self, frame=replace(self.frame, rho=self.frame.rho + d.rho_max()))
+
 
 def cloud_structure(d: DomainSpec, n: int, graph_k: int, seed: int) -> CloudStructure:
     """Sample the domain and build its edge set and CSR structure, unweighted.
@@ -525,10 +547,12 @@ def _fork_map(fn: Callable, items: Sequence) -> Iterator[Iterator]:
     and ``items`` (the graphs they read are not copied).  The assignment is
     fixed: worker w computes items w, w + width, ... in order and sends back
     only their results, on a pipe of its own, so item i's result is the next
-    one on worker i % width's pipe.  Both callers' items cost about the same
-    (equal GH chunks of source rows, only the last shorter; Omega_delta
-    clouds of one size), so fixed shares keep the workers about as busy as
-    handing out the next free item would.
+    one on worker i % width's pipe.  The GH chunks cost about the same (equal
+    source rows, only the last shorter).  The ``estimates`` items, (delta, t)
+    diameters in delta-major order, do not: 3 to 14 ms each at n = 500.  But
+    every width-th item runs through all the deltas and t, so fixed shares
+    still balance: at width 2 the two shares of the 8 items that sweep reads
+    at seed 42 took 35.5 and 34.2 ms (README).
     Item i's result, or the exception it raised, comes when the consumer
     reaches i.  Leaving the ``with`` block kills and reaps every worker, so
     a consumer that stops early kills the work it no longer needs.  No lock

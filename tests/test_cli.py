@@ -416,9 +416,10 @@ class TestEstimatesGreen:
 
 
 class TestEstimatesSweep:
-    """The Omega_delta clouds run on forked workers; the report is the serial loop's."""
+    """The (delta, t) diameters run on forked workers; the report is the serial loop's."""
 
-    # at n = 400 the sweep stops at delta = 0.02, so 0.01 and 0.005 are never read
+    # at n = 400 the sweep stops at (0.02, 1e-3), so (0.02, 1e-4) and every
+    # item of 0.01 and 0.005 are never read
     ARGV = ["estimates", "--n", "400", "--seed", "3"]
 
     def test_width_one_equals_pooled(self, tmp_path, monkeypatch, capsys):
@@ -453,27 +454,50 @@ class TestEstimatesSweep:
         assert main(["estimates", "--seed", str(seed), "--out", str(tmp_path / "r.json")]) == 0
         assert len(calls) == weighings
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_builds_one_cloud_structure(self, tmp_path, monkeypatch, width):
+        # every delta is the one Omega cloud dilated; a forked worker's build
+        # would append its own pid to the log
+        log = tmp_path / "builds"
+        real = metricgeom.cloud_structure
+
+        def logged(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args)
+
+        monkeypatch.setattr(metricgeom, "_max_workers", lambda: width)
+        monkeypatch.setattr(metricgeom, "cloud_structure", logged)
+        assert main(["estimates", "--seed", "42", "--out", str(tmp_path / "r.json")]) == 0
+        assert log.read_text().split() == [str(os.getpid())]
+
     def test_no_child_outlives_main(self, tmp_path, monkeypatch):
-        # four deltas on four workers: the two the sweep never reads are killed
+        # twelve items on four workers: the work on the items after the stop is killed
         monkeypatch.setattr(metricgeom, "_max_workers", lambda: 4)
         assert main([*self.ARGV, "--out", str(tmp_path / "r.json")]) == 0
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("bad, raises", [(0.005, False), (0.01, False), (0.05, True)])
+    @pytest.mark.parametrize("bad, raises", [
+        pytest.param((delta, t), raises, id=f"{delta:g}-{t:g}-{raises}")
+        for delta, t, raises in [(0.005, 1e-4, False), (0.01, 1e-2, False),
+                                 (0.02, 1e-4, False), (0.05, 1e-2, True), (0.02, 1e-3, True)]
+    ])
     def test_worker_error_only_where_read(self, tmp_path, monkeypatch, bad, raises):
-        real = cli._omega_delta_diameters
+        # unread: the last item, the first of 0.01 and the one right after the
+        # stop; read: the first item and the stop itself
+        real = cli._omega_delta_diameter
 
-        def failing(cfg, delta):
-            if delta == bad:
-                raise DegenerateMetric(f"injected at delta = {delta}")
-            return real(cfg, delta)
+        def failing(omega, delta, t):
+            if (delta, t) == bad:
+                raise DegenerateMetric(f"injected at (delta, t) = {bad}")
+            return real(omega, delta, t)
 
         def hung(signum, frame):
             # not a TimeoutError: Process.join takes any OSError for "still running"
             raise AssertionError("estimates did not return")
 
         monkeypatch.setattr(metricgeom, "_max_workers", lambda: 2)
-        monkeypatch.setattr(cli, "_omega_delta_diameters", failing)
+        monkeypatch.setattr(cli, "_omega_delta_diameter", failing)
         argv = [*self.ARGV, "--out", str(tmp_path / "r.json")]
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)

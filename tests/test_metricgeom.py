@@ -421,8 +421,9 @@ class TestCloudDiameter:
     @pytest.mark.parametrize("t", [1e-2, 1e-3, 1e-4])
     @pytest.mark.parametrize("delta", [0.05, 0.02, 0.01, 0.005])
     def test_equals_full_matrix_maximum_on_sweep_clouds(self, delta, t):
-        # the clouds of the estimates sweep at its defaults
-        graph = build_cloud(DomainSpec(delta), calabi_family(t), n=500, graph_k=12, seed=42)
+        # the clouds of the estimates sweep at its defaults: Omega's, dilated onto Omega_delta
+        omega = cloud_structure(OMEGA, n=500, graph_k=12, seed=42)
+        graph = omega.dilate(DomainSpec(delta)).weigh(calabi_family(t))
         assert cloud_diameter(graph) == _all_pairs(graph).max()
 
     @pytest.mark.parametrize("domain, n, k", _cloud_diameter_cases())
@@ -437,27 +438,30 @@ class TestCloudDiameter:
         assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
 
     def test_computes_few_rows(self, monkeypatch):
-        # the estimates sweep's cloud: Omega_0.01 at t = 1e-3, n = 500, k = 12
+        # an estimates sweep cloud: Omega dilated onto Omega_0.01 at t = 1e-3, n = 500, k = 12
         rows = []
 
         def counting(graph, sources=None):
             rows.append(graph.shape[0] if sources is None else len(sources))
             return _all_pairs(graph, sources)
 
-        graph = build_cloud(DomainSpec(0.01), calabi_family(1e-3), n=500, graph_k=12, seed=42)
+        omega = cloud_structure(OMEGA, n=500, graph_k=12, seed=42)
+        graph = omega.dilate(DomainSpec(0.01)).weigh(calabi_family(1e-3))
         monkeypatch.setattr(metricgeom, "_all_pairs", counting)
         diam = cloud_diameter(graph)
         assert sum(rows) < 500 / 4
         assert diam == _all_pairs(graph).max()
 
     def test_estimates_clouds_take_few_rows(self, monkeypatch):
-        # the eight clouds the estimates report lists at its defaults: every t
-        # of delta = 0.05 and 0.02, then delta = 0.01 until t = 1e-3 falls under
-        # eps.  estimates also forks delta = 0.005, which it never reads at seed
-        # 42, so that cloud is not counted.  The rows are 139 + 186 + 137 = 462
+        # the eight clouds the estimates report lists at its defaults, each the
+        # Omega cloud dilated onto Omega_delta: every t of delta = 0.05 and
+        # 0.02, then delta = 0.01 until t = 1e-3 falls under eps.  The items
+        # estimates forks after that one are never read at seed 42, so they are
+        # not counted.  The rows are 139 + 186 + 137 = 462
         kinds = [calabi_family(t) for t in (1e-2, 1e-3, 1e-4)]
+        omega = cloud_structure(OMEGA, n=500, graph_k=12, seed=42)
         graphs = [
-            cloud_structure(DomainSpec(delta), n=500, graph_k=12, seed=42).weigh(kind)
+            omega.dilate(DomainSpec(delta)).weigh(kind)
             for delta, count in ((0.05, 3), (0.02, 3), (0.01, 2))
             for kind in kinds[:count]
         ]
@@ -589,6 +593,36 @@ class TestGraph:
             for attr in ("data", "indices", "indptr"):
                 assert getattr(graph, attr).tobytes() == getattr(expected, attr).tobytes()
         assert calls == [0.0, 1.0, 1e-2, 1e-4]
+
+
+class TestDilate:
+    """The estimates sweep's clouds: Omega's structure dilated onto Omega_delta."""
+
+    @pytest.mark.parametrize("delta", [0.05, 0.02, 0.01, 0.005])
+    @pytest.mark.parametrize("seed", [42, 3, 57])
+    def test_equals_structure_sampled_on_the_domain(self, seed, delta):
+        d = DomainSpec(delta)
+        got = cloud_structure(OMEGA, n=500, graph_k=12, seed=seed).dilate(d)
+        want = cloud_structure(d, n=500, graph_k=12, seed=seed)
+        for attr in ("indices", "indptr", "perm"):
+            assert getattr(got, attr).dtype == getattr(want, attr).dtype
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+        # the dilation fixes z, so the base norm b keeps its bits
+        assert got.frame.b.tobytes() == want.frame.b.tobytes()
+        # a and r are quotients of differences of nearby fibre coordinates,
+        # which the two samples round apart: at most 18.3 eps of the edge's
+        # b + a + r over 24 such clouds (seeds 3, 7, 42, 43, 57, 101)
+        eps = np.finfo(float).eps
+        scale = want.frame.b + want.frame.a + want.frame.r
+        for field in ("a", "r"):
+            gap = np.abs(getattr(got.frame, field) - getattr(want.frame, field))
+            assert (gap <= 32 * eps * scale).all()
+        # at most 2 eps of |rho| over the same clouds
+        assert (np.abs(got.frame.rho - want.frame.rho) <= 4 * eps * np.abs(want.frame.rho)).all()
+        for t in (1e-2, 1e-3, 1e-4):
+            kind = calabi_family(t)
+            assert cloud_diameter(got.weigh(kind)) == pytest.approx(
+                cloud_diameter(want.weigh(kind)), rel=1e-14, abs=0.0)
 
 
 class TestBackbone:

@@ -67,7 +67,7 @@ class ExperimentConfig:
             raise ConfigError("t_grid must be strictly decreasing")
         if self.experiment == "gh-converge" and len(self.t_grid) < 2:
             raise ConfigError("gh-converge needs at least two t_grid values")
-        if self.experiment == "estimates" and not min(self.t_grid) / 100.0 > 0.0:
+        if self.experiment == "estimates" and not min(_sweep_ts(self.t_grid)) > 0.0:
             raise ConfigError("estimates needs min(t_grid) / 100 > 0: it sweeps t/10 and t/100")
         if self.n_samples < 10:
             raise ConfigError("n_samples must be >= 10")
@@ -252,15 +252,19 @@ def _estimates_for_t(t: float, sub: ResolvedPoint) -> dict:
 _OMEGA_DELTAS = (0.05, 0.02, 0.01, 0.005)
 
 
+def _sweep_ts(t_grid: tuple[float, ...]) -> tuple[float, ...]:
+    """The estimates sweep's t: min(t_grid) / 1, / 10 and / 100 (not * 0.1, which rounds apart)."""
+    return tuple(min(t_grid) / k for k in (1.0, 10.0, 100.0))
+
+
 def _omega_delta_diameter(omega: metricgeom.CloudStructure, delta: float, t: float) -> float:
     """Sampled diameter of Omega_delta under the t-metric, on the Omega cloud dilated onto it.
 
-    Adds the closed-form radial stub below the sampling floor twice.
+    Adds the closed-form radial stub below the domain's sampling floor twice.
     """
     domain = DomainSpec(delta)
     graph = omega.dilate(domain).weigh(forms.calabi_family(t))
-    return metricgeom.cloud_diameter(graph) + 2.0 * metricgeom.radial_stub(
-        t, domain.rho_max() - metricgeom.RHO_DEPTH)
+    return metricgeom.cloud_diameter(graph) + 2.0 * metricgeom.radial_stub(t, domain)
 
 
 def _pointwise_estimates(cfg: ExperimentConfig):
@@ -320,8 +324,7 @@ def _exp_estimates(cfg: ExperimentConfig):
     when it is read, so the errors raised are the serial loop's.
     """
     eps = DEFAULT_TOLERANCES["omega_delta_eps"]
-    t_small = (min(cfg.t_grid), min(cfg.t_grid) / 10.0, min(cfg.t_grid) / 100.0)
-    items = [(delta, t) for delta in _OMEGA_DELTAS for t in t_small]
+    items = [(delta, t) for delta in _OMEGA_DELTAS for t in _sweep_ts(cfg.t_grid)]
     omega = metricgeom.cloud_structure(OMEGA, max(300, cfg.n_samples // 4), cfg.graph_k, cfg.seed)
     found = None
     best_diam = math.inf

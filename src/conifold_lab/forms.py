@@ -160,12 +160,17 @@ def _family_matrix(m: np.ndarray, z, xi1, xi2, t: float, uprime, usecond) -> Non
     m[..., 2, 2] = d * (xi2.conjugate() * xi2 / s) + uprime / s
 
 
+def off_metric_domain(r: np.ndarray) -> np.ndarray:
+    """Lane-wise: rho off the profile metrics' domain, not finite or below ``RHO_DEEP_LIMIT``."""
+    return ~np.isfinite(r) | (r < RHO_DEEP_LIMIT)
+
+
 def _profile(kind: FormKind, p: ResolvedPoint):
     """(u', u'') at p: a float solve for a single point, one ``eval_profiles`` call for a stack.
 
-    ``OnZeroSection`` names the first lane on the zero section or below
-    ``RHO_DEEP_LIMIT``; a lane above the rho clamp gives one
-    ``RangeClampedWarning`` for the call.
+    ``OnZeroSection`` names the first lane where ``off_metric_domain`` holds
+    (a float takes its ``math`` twin, which costs it far less); a lane above
+    the rho clamp gives one ``RangeClampedWarning`` for the call.
     """
     r = rho(p)
     params = ProfileParams(kind.t)
@@ -174,7 +179,7 @@ def _profile(kind: FormKind, p: ResolvedPoint):
             raise OnZeroSection(f"{kind.tag} degenerates at rho = {r}")
         prof = eval_profile(params, r)
     else:
-        bad = ~np.isfinite(r) | (r < RHO_DEEP_LIMIT)
+        bad = off_metric_domain(r)
         if bad.any():
             raise OnZeroSection(f"{kind.tag} degenerates at rho = {r.flat[np.argmax(bad)]}")
         prof = eval_profiles(params, r)

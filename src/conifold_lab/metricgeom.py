@@ -8,8 +8,8 @@ for the cone, -5.0% to +12.5% at t = 1), so graph distances may over- or
 underestimate.  Graphs are weighed under the family and the cone only,
 the kinds an experiment compares; both are diagonal in the t-independent
 coframe of ``forms``, so each ``cloud_structure`` computes its edges'
-``EdgeFrame`` once, and a kind then costs one profile solve and no 3x3
-matrix (``_edge_weights``).  Neighbour proximity is
+midpoint rho and coframe norms once, and a kind then costs one profile
+solve and no 3x3 matrix (``CloudStructure.weights``).  Neighbour proximity is
 measured in the contraction embedding into C^4, which adapts the graph to
 the collapsing geometry near the zero section.  A Euclidean minimum
 spanning tree over the same embedding is always added to the edge
@@ -27,19 +27,18 @@ np.maximum, and one ``np.unique`` deduplicates both; the key order is the
 row order.  Each graph stores both directions of every edge in one CSR
 structure whose arcs are sorted by the same key, row * n + col.
 
-``cloud_structure`` builds the sample, the edge set and the CSR structure
-once per (domain, n, k, seed); ``CloudStructure.weigh`` returns the
+``CloudStructure`` is the one cloud type: the edges' norms and the CSR arc
+arrays, not the points, and no distance matrix.  ``cloud_structure`` builds
+it once per (domain, n, k, seed); ``CloudStructure.weigh`` returns the
 weighted graph of one metric kind, a ``scipy.sparse.csr_matrix``, when a
 caller asks, so the CLI's ``estimates`` sweep never weighs a t after its
 first small diameter.  ``CloudStructure.dilate`` carries a structure of
 Omega onto Omega_delta by the fibre dilation xi -> delta xi, which moves
 only the edges' rho, so that sweep builds one structure for all four
-deltas.  ``gh_upper_bounds`` maps the weigher over the cone
-and each t; ``build_cloud`` weighs one kind of a fresh structure.  A graph
-is the only cloud type: the structure keeps the edge frame and the arc
-arrays but not the points, and no distance matrix is held.  Dijkstra rows
-come from ``scipy.sparse.csgraph.dijkstra`` itself:
-``shortest_path(method="D")`` validates the graph and then calls it.
+deltas.  ``gh_upper_bounds`` maps the weigher over the cone and each t;
+``build_cloud`` weighs one kind of a fresh structure.  Dijkstra rows come
+from ``scipy.sparse.csgraph.dijkstra`` itself: ``shortest_path(method="D")``
+validates the graph and then calls it.
 
 ``cloud_diameter`` is exact from a few Dijkstra rows.  It bounds each
 node's farthest point by the rows already computed, as Takes & Kosters'
@@ -71,7 +70,7 @@ the package (``_halton``) so that start-up does not import
 ``scipy.stats``; the tests hold it bit for bit to scipy's scrambled Halton,
 the oracle it reproduces.
 The unsampled stub between the floor and the zero section is charged its
-closed-form radial length, available as ``radial_stub``.
+closed-form radial length, ``radial_stub(t, d)``, which finds d's floor.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ import scipy.special
 
 from .chart import OMEGA, DomainSpec, ResolvedPoint, contract, rho, second_chart
 from .errors import DegenerateMetric, OnZeroSection
-from .forms import CONE_METRIC, RHO_DEEP_LIMIT, FormKind, calabi_family
+from .forms import CONE_METRIC, FormKind, calabi_family, off_metric_domain
 from .forms import eval_form  # noqa: F401  (unused; bench/tracing.py wraps it by name)
 from .profile import ProfileParams, eval_profile, eval_profiles
 from .profile import cone_profile  # noqa: F401  (unused; bench/tracing.py wraps it by name)
@@ -161,9 +160,12 @@ def radial_length(p: ResolvedPoint, t: float) -> float:
     return radial_length_from_rho(rho(p), t)
 
 
-def radial_stub(t: float, rho_floor: float = -RHO_DEPTH) -> float:
-    """Closed-form radial length from the zero section to the sampling floor (< 1e-2 for all t)."""
-    return radial_length_from_rho(rho_floor, t)
+def radial_stub(t: float, d: DomainSpec = OMEGA) -> float:
+    """Closed-form radial length from the zero section up to d's sampling floor (< 1e-2 on Omega).
+
+    ``sample_domain``'s floor lies ``RHO_DEPTH`` below the domain top.
+    """
+    return radial_length_from_rho(d.rho_max() - RHO_DEPTH, t)
 
 
 def zero_section_area(t: float) -> float:
@@ -335,64 +337,6 @@ def _abs2(c: np.ndarray) -> np.ndarray:
     return c.real * c.real + c.imag * c.imag
 
 
-@dataclass(frozen=True)
-class EdgeFrame:
-    """Each edge's midpoint rho and its segment vector v's squared coframe norms there.
-
-    With h = 1 + |z|^2 and S = |xi1|^2 + |xi2|^2 at the midpoint, b, a and r
-    are |theta_b(v)|^2 = |v_z / h|^2, |theta_a(v)|^2 = |(xi2 v_1 - xi1 v_2) / S|^2
-    and |theta_r(v)|^2 = |zbar v_z / h + (xi1bar v_1 + xi2bar v_2) / S|^2
-    (``forms``), the same for every metric kind.
-    """
-
-    rho: np.ndarray
-    b: np.ndarray
-    a: np.ndarray
-    r: np.ndarray
-
-
-def _edge_frame(points: ResolvedPoint, edges: np.ndarray) -> EdgeFrame:
-    """The ``EdgeFrame`` of each (i, j) row of ``edges``, from the segment p_j - p_i."""
-    coords = np.stack([points.z, points.xi1, points.xi2])
-    p = coords[:, edges[:, 0]]
-    v = coords[:, edges[:, 1]] - p
-    z, x1, x2 = p + 0.5 * v
-    vz, v1, v2 = v
-    h = 1.0 + _abs2(z)
-    s = _abs2(x1) + _abs2(x2)
-    # where S is 0 (the zero section) or underflows, the quotients are inf or
-    # nan and _edge_weights raises on rho or on the weight
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        base = vz / h
-        fibre = (x1.conj() * v1 + x2.conj() * v2) / s
-        return EdgeFrame(rho=rho(ResolvedPoint(z, x1, x2)), b=_abs2(base),
-                         a=_abs2((x2 * v1 - x1 * v2) / s), r=_abs2(z.conj() * base + fibre))
-
-
-def _edge_weights(kind: FormKind, frame: EdgeFrame) -> np.ndarray:
-    """Length of each edge's coordinate segment under the metric at its midpoint.
-
-    Only the kinds with a profile, the family and the cone (t = 0), are
-    weighed: the squared length is (t + u') b + u' a + u'' r, with (u', u'')
-    at the midpoint from one ``eval_profiles`` call.  A kind without ``t``
-    raises ``ValueError``.  A midpoint on the zero section or below
-    ``RHO_DEEP_LIMIT`` and a non-finite weight raise ``DegenerateMetric``.
-    """
-    if kind.t is None:
-        raise ValueError(f"graphs are weighed under the family and the cone only, not {kind.tag}")
-    bad = ~np.isfinite(frame.rho) | (frame.rho < RHO_DEEP_LIMIT)
-    if bad.any():
-        raise DegenerateMetric(f"edge midpoint off the metric's domain: {kind.tag} degenerates"
-                               f" at rho = {frame.rho[np.argmax(bad)]}")
-    prof = eval_profiles(ProfileParams(kind.t), frame.rho)
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite weight raises below
-        w = np.sqrt((kind.t + prof.uprime) * frame.b + prof.uprime * frame.a
-                    + prof.usecond * frame.r)
-    if not np.isfinite(w).all():
-        raise DegenerateMetric("nonfinite edge weight")
-    return w
-
-
 def _all_pairs(graph: scipy.sparse.csr_matrix, sources: np.ndarray | None = None) -> np.ndarray:
     """Shortest-path distances from ``sources`` (default: every node) in a symmetric graph."""
     dist = scipy.sparse.csgraph.dijkstra(graph, directed=True, indices=sources)
@@ -403,24 +347,54 @@ def _all_pairs(graph: scipy.sparse.csr_matrix, sources: np.ndarray | None = None
 
 @dataclass(frozen=True)
 class CloudStructure:
-    """A sample's edge set as its two-direction CSR structure, not yet weighted.
+    """A sample's edge set, unweighted: per-edge coframe norms and the two-direction CSR.
 
-    ``frame`` is the ``EdgeFrame`` of the (i < j) edges in key order, which
-    every metric kind shares.  The CSR stores each edge as two arcs, in the
-    order of their key row * n + col; ``perm`` gives each arc's edge, so a
-    metric kind only permutes its edge weights into the matrix data.
+    For the (i < j) edges in key order, ``rho`` is the midpoint's rho and ``b``,
+    ``a``, ``r`` the segment vector v's squared coframe norms there, which every
+    metric kind shares: with h = 1 + |z|^2 and S = |xi1|^2 + |xi2|^2 at the
+    midpoint, |theta_b(v)|^2 = |v_z / h|^2, |theta_a(v)|^2 = |(xi2 v_1 - xi1 v_2) / S|^2
+    and |theta_r(v)|^2 = |zbar v_z / h + (xi1bar v_1 + xi2bar v_2) / S|^2 (``forms``).
+    The CSR holds each edge as two arcs in the order of their key row * n + col;
+    ``perm`` gives each arc's edge, so a kind only permutes its edge weights into it.
     """
 
-    frame: EdgeFrame
+    rho: np.ndarray
+    b: np.ndarray
+    a: np.ndarray
+    r: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     perm: np.ndarray
 
+    def weights(self, kind: FormKind) -> np.ndarray:
+        """Each edge's coordinate segment length under the metric at its midpoint, in edge order.
+
+        Only the kinds with a profile, the family and the cone (t = 0), are
+        weighed: the squared length is (t + u') b + u' a + u'' r, with (u', u'')
+        from one ``eval_profiles`` call.  A kind without ``t`` raises
+        ``ValueError``; a midpoint where ``off_metric_domain`` holds and a
+        non-finite weight raise ``DegenerateMetric``.
+        """
+        if kind.t is None:
+            raise ValueError(
+                f"graphs are weighed under the family and the cone only, not {kind.tag}")
+        bad = off_metric_domain(self.rho)
+        if bad.any():
+            raise DegenerateMetric(f"edge midpoint off the metric's domain: {kind.tag} degenerates"
+                                   f" at rho = {self.rho[np.argmax(bad)]}")
+        prof = eval_profiles(ProfileParams(kind.t), self.rho)
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite weight raises below
+            w = np.sqrt((kind.t + prof.uprime) * self.b + prof.uprime * self.a
+                        + prof.usecond * self.r)
+        if not np.isfinite(w).all():
+            raise DegenerateMetric("nonfinite edge weight")
+        return w
+
     def weigh(self, kind: FormKind) -> scipy.sparse.csr_matrix:
-        """The graph of one metric kind, both arcs of each edge: ``_edge_weights`` on the frame."""
+        """The graph of one metric kind: its ``weights`` permuted onto both arcs of each edge."""
         n = len(self.indptr) - 1
-        data = _edge_weights(kind, self.frame)[self.perm]
-        return scipy.sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        return scipy.sparse.csr_matrix((self.weights(kind)[self.perm], self.indices, self.indptr),
+                                       shape=(n, n))
 
     def dilate(self, d: DomainSpec) -> CloudStructure:
         """This structure of Omega carried onto the domain d by the fibre dilation xi -> d.r xi.
@@ -433,28 +407,44 @@ class CloudStructure:
         points differ by a few ulps, the edge sets agree on the estimates
         sweep's clouds and b is equal bit for bit (the tests hold them to it).
         """
-        return replace(self, frame=replace(self.frame, rho=self.frame.rho + d.rho_max()))
+        return replace(self, rho=self.rho + d.rho_max())
 
 
-def cloud_structure(d: DomainSpec, n: int, graph_k: int, seed: int) -> CloudStructure:
-    """Sample the domain and build its edge set and CSR structure, unweighted.
-
-    Raises ``ValueError`` unless n >= 10 and graph_k >= 4.
-    """
-    if n < 10:
-        raise ValueError("need n >= 10")
-    if graph_k < 4:
-        raise ValueError("need graph_k >= 4")
-    points = sample_domain(d, n, seed)
-    edges = _graph_edges(points, graph_k)
+def _structure(points: ResolvedPoint, edges: np.ndarray) -> CloudStructure:
+    """The ``CloudStructure`` of the (i, j) rows of ``edges``, each the segment p_j - p_i."""
+    coords = np.stack([points.z, points.xi1, points.xi2])
+    n = coords.shape[1]
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     # the arc keys are unique, so this is np.lexsort((cols, rows))'s permutation
     order = np.argsort(rows * n + cols)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return CloudStructure(frame=_edge_frame(points, edges), indices=cols[order].astype(np.int32),
-                          indptr=indptr, perm=order % len(edges))
+    p = coords[:, edges[:, 0]]
+    v = coords[:, edges[:, 1]] - p
+    z, x1, x2 = p + 0.5 * v
+    vz, v1, v2 = v
+    h = 1.0 + _abs2(z)
+    s = _abs2(x1) + _abs2(x2)
+    # where S is 0 (the zero section) or underflows, the quotients are inf or
+    # nan and ``weights`` raises on rho or on the weight
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        base = vz / h
+        fibre = (x1.conj() * v1 + x2.conj() * v2) / s
+        return CloudStructure(rho=rho(ResolvedPoint(z, x1, x2)), b=_abs2(base),
+                              a=_abs2((x2 * v1 - x1 * v2) / s), r=_abs2(z.conj() * base + fibre),
+                              indices=cols[order].astype(np.int32), indptr=indptr,
+                              perm=order % len(edges))
+
+
+def cloud_structure(d: DomainSpec, n: int, graph_k: int, seed: int) -> CloudStructure:
+    """The ``CloudStructure`` of a fresh sample; ``ValueError`` unless n >= 10 and graph_k >= 4."""
+    if n < 10:
+        raise ValueError("need n >= 10")
+    if graph_k < 4:
+        raise ValueError("need graph_k >= 4")
+    points = sample_domain(d, n, seed)
+    return _structure(points, _graph_edges(points, graph_k))
 
 
 def build_cloud(

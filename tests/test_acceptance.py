@@ -216,8 +216,9 @@ def test_11_small_neighbourhood_shrinks():
     eps = 0.2
     found = None
     for delta, t in ((0.01, 1e-3), (0.005, 1e-4), (0.002, 1e-5)):
-        graph = build_cloud(DomainSpec(delta), calabi_family(t), n=400, graph_k=10, seed=7)
-        diam = cloud_diameter(graph) + 2 * radial_stub(t, 2 * math.log(delta) - 20.0)
+        d = DomainSpec(delta)
+        graph = build_cloud(d, calabi_family(t), n=400, graph_k=10, seed=7)
+        diam = cloud_diameter(graph) + 2 * radial_stub(t, d)
         if diam < eps:
             found = (delta, t, diam)
             break

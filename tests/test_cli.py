@@ -443,14 +443,14 @@ class TestEstimatesSweep:
         # seed 42 stops at (0.01, 1e-3), seed 57 at (0.02, 1e-3): the t after
         # the stop are never weighed (building whole deltas took 9 and 6)
         calls = []
-        real = metricgeom._edge_weights
+        real = metricgeom.CloudStructure.weights
 
-        def counting(kind, frame):
+        def counting(structure, kind):
             calls.append(kind.t)
-            return real(kind, frame)
+            return real(structure, kind)
 
         monkeypatch.setattr(metricgeom, "_max_workers", lambda: 1)
-        monkeypatch.setattr(metricgeom, "_edge_weights", counting)
+        monkeypatch.setattr(metricgeom.CloudStructure, "weights", counting)
         assert main(["estimates", "--seed", str(seed), "--out", str(tmp_path / "r.json")]) == 0
         assert len(calls) == weighings
 
